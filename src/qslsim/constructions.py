@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -28,14 +27,16 @@ from .qcore import (
     PureState,
     SeparableEnsemble,
     SubsystemLayout,
-    embed_local,
+    _kron_columns,
+    _local_sum,
     noninteracting_hamiltonian,
 )
 
 #: i^n for n mod 4, evaluated exactly rather than through complex powers.
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+#: Columns |+> and |->, the eigenvectors of sigma_x for +1 and -1.
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -60,8 +61,8 @@ class EntangledChainSpec:
             raise InvariantViolation(f"levels must be >= 2, got {self.levels}")
         if self.subsystems < 1:
             raise InvariantViolation(f"subsystems must be >= 1, got {self.subsystems}")
-        if not (self.omega0 > 0.0):
-            raise InvariantViolation(f"omega0 must be positive, got {self.omega0}")
+        if not (0.0 < self.omega0 < math.inf):
+            raise InvariantViolation(f"omega0 must be positive and finite, got {self.omega0}")
 
     @property
     def total_dim(self) -> int:
@@ -134,8 +135,8 @@ class CollectiveSpec:
     def __post_init__(self) -> None:
         if self.qubits < 1:
             raise InvariantViolation(f"qubits must be >= 1, got {self.qubits}")
-        if self.omega0 < 0.0 or self.omega < 0.0:
-            raise InvariantViolation("omega0 and omega must be nonnegative")
+        if not (0.0 <= self.omega0 < math.inf and 0.0 <= self.omega < math.inf):
+            raise InvariantViolation("omega0 and omega must be nonnegative and finite")
         if self.omega0 <= 0.0 and self.omega <= 0.0:
             raise InvariantViolation("omega0 and omega cannot both be zero")
         if self.bits is not None:
@@ -166,16 +167,29 @@ class CollectiveSpec:
         return math.pi / (2.0 * self.spread)
 
 
-def _collective_matrix(qubits: int, omega0: float, omega: float) -> np.ndarray:
+def _collective_hamiltonian(qubits: int, omega0: float, omega: float,
+                            cap: int) -> Hamiltonian:
+    """The collective model's Hamiltonian with its exact eigensystem.
+
+    sx_k flips bit k of a product-basis index and prod_k sx_k flips them all,
+    so the matrix is a scatter of O(M * D) entries.  Both terms are diagonal
+    in the sx product (Hadamard) basis: the state |s> with sx_k = (-1)^(s_k)
+    has energy 2 omega0 |s| + omega (1 - (-1)^|s|), where |s| counts its ones.
+    """
     dim = 2 ** qubits
-    layout = SubsystemLayout((2,) * qubits, cap=dim)
-    mat = np.zeros((dim, dim), dtype=complex)
-    eye = np.eye(dim, dtype=complex)
+    index = np.arange(dim)
+    matrix = np.zeros((dim, dim), dtype=complex)
+    matrix[index, index] = qubits * omega0 + omega
     for k in range(qubits):
-        mat += omega0 * (eye - embed_local(_SIGMA_X, k, layout))
-    collective = reduce(np.kron, [_SIGMA_X] * qubits)
-    mat += omega * (eye - collective)
-    return mat
+        matrix[index ^ (1 << k), index] -= omega0
+    matrix[index ^ (dim - 1), index] -= omega
+
+    ones = sum((index >> k) & 1 for k in range(qubits))
+    evals = 2.0 * omega0 * ones + 2.0 * omega * (ones & 1)
+    order = np.argsort(evals, kind="stable")
+    evecs = _kron_columns([_HADAMARD] * qubits, order)
+    layout = SubsystemLayout((2,) * qubits, cap=cap)
+    return Hamiltonian._from_eigensystem(layout, matrix, evals[order], evecs)
 
 
 def make_collective(spec: CollectiveSpec,
@@ -190,15 +204,14 @@ def make_collective(spec: CollectiveSpec,
     dim = 2 ** spec.qubits
     if dim > cap:
         raise InvariantViolation(f"dimension {dim} exceeds the dense cap {cap}")
-    layout = SubsystemLayout((2,) * spec.qubits, cap=cap)
-    hamiltonian = Hamiltonian(layout, _collective_matrix(spec.qubits, spec.omega0, spec.omega))
+    hamiltonian = _collective_hamiltonian(spec.qubits, spec.omega0, spec.omega, cap)
     bits = spec.bit_vector
     index = 0
     for b in bits:
         index = index * 2 + b
     amplitudes = np.zeros(dim, dtype=complex)
     amplitudes[index] = 1.0
-    return PureState(layout, amplitudes), hamiltonian
+    return PureState(hamiltonian.layout, amplitudes), hamiltonian
 
 
 def collective_overlap_fn(spec: CollectiveSpec, t):
@@ -290,14 +303,8 @@ def make_grouped(groups: int, per_group: int, omega0: float, omega: float,
     if dim > cap:
         raise InvariantViolation(f"dimension {dim} exceeds the dense cap {cap}")
     layout = SubsystemLayout((2,) * total_qubits, cap=cap)
-    block = _collective_matrix(per_group, omega0, omega)
-    block_dim = 2 ** per_group
-    mat = np.zeros((dim, dim), dtype=complex)
-    for g in range(groups):
-        left = np.eye(block_dim ** g, dtype=complex)
-        right = np.eye(block_dim ** (groups - g - 1), dtype=complex)
-        mat += np.kron(np.kron(left, block), right)
-    hamiltonian = Hamiltonian(layout, mat)
+    block = _collective_hamiltonian(per_group, omega0, omega, cap)
+    hamiltonian = _local_sum(layout, [block] * groups)
     amplitudes = np.zeros(dim, dtype=complex)
     amplitudes[0] = 1.0
     return PureState(layout, amplitudes), hamiltonian
@@ -324,8 +331,8 @@ def make_mixture_demo(omega: float) -> tuple[SeparableEnsemble, tuple[Hamiltonia
     partner and a bound-saturating excited state can coexist with disjoint
     energy support.
     """
-    if not (omega > 0.0):
-        raise InvariantViolation(f"omega must be positive, got {omega}")
+    if not (0.0 < omega < math.inf):
+        raise InvariantViolation(f"omega must be positive and finite, got {omega}")
     layout = SubsystemLayout((3,))
     local = Hamiltonian(layout, np.diag([0.0, omega, 2.0 * omega]).astype(complex))
     ground = np.zeros((3, 3), dtype=complex)

@@ -27,9 +27,11 @@ from .qcore import (
     _require_same_layout,
 )
 
-#: Absolute time accuracy of the refined minima (the refinement itself runs
-#: two decades tighter so that steep zeros still dip below the acceptance
-#: threshold at the best evaluated point).
+#: Absolute time accuracy of the refined minima of a pure-state survival (the
+#: refinement itself runs two decades tighter so that steep zeros still dip
+#: below the acceptance threshold at the best evaluated point).  A mixed-state
+#: survival is a sum carrying ~1e-16 round-off, which pins its quadratic
+#: minima only to ~1e-8 relative.
 TIME_RESOLUTION = 1e-10
 _GOLDEN_XTOL = 1e-12
 #: Survival at or below this counts as orthogonal.  Survival is quadratic in
@@ -125,7 +127,8 @@ def evolve(state: State, hamiltonian: Hamiltonian, t: float) -> State:
 class _SurvivalSignal:
     """Survival Tr[rho(t) rho] as an exponential sum with nonnegative weights.
 
-    Pure state:  s(t) = |sum_j w_j exp(-i lam_j t)|^2 with w_j = |c_j|^2.
+    Pure state:  s(t) = |sum_j w_j exp(-i lam_j t)|^2 with w_j = |c_j|^2,
+    summed over the distinct eigenvalues lam_j.
     Mixed state: s(t) = sum_{ab} |rho_ab|^2 exp(-i (lam_a - lam_b) t), written
     in the Hamiltonian eigenbasis; the gap symmetry makes the sum real.
 
@@ -136,12 +139,16 @@ class _SurvivalSignal:
     def __init__(self, state: State, hamiltonian: Hamiltonian):
         evals, evecs = hamiltonian.eigensystem()
         if isinstance(state, PureState):
-            coeff = evecs.conj().T @ state.amplitudes
-            weights = np.abs(coeff) ** 2
+            # |V^T psi*| = |V^dagger psi|, without a conjugated copy of V
+            coeff = evecs.T @ state.amplitudes.conj()
+            # Exactly equal eigenvalues share one term, so a degenerate
+            # spectrum costs its distinct levels rather than its dimension.
+            freqs, level = np.unique(evals, return_inverse=True)
+            weights = np.bincount(level, weights=np.abs(coeff) ** 2)
             self._pure = True
-            self._freqs = evals
+            self._freqs = freqs
             self._weights = weights
-            support = evals[weights > _SUPPORT_CUT]
+            support = freqs[weights > _SUPPORT_CUT]
         else:
             rho_eig = evecs.conj().T @ state.matrix @ evecs
             coeffs = np.abs(rho_eig) ** 2
@@ -322,7 +329,10 @@ def first_orthogonal_time(state: State, hamiltonian: Hamiltonian,
     Requires a ground-shifted Hamiltonian (the default horizon is a multiple
     of the speed limit time, which is only meaningful from a zero ground
     state).  Stationary states (no populated spectral range) return NotFound
-    immediately.  The located time is accurate to ``TIME_RESOLUTION``.
+    immediately.  For a pure state the located time is accurate to
+    ``TIME_RESOLUTION``; for a density matrix only to ~1e-8 relative, since
+    round-off of ~1e-16 in the survival sum blurs a quadratic minimum over
+    ~sqrt(1e-16).
     """
     opts = opts if opts is not None else SearchOptions()
     if not isinstance(opts, SearchOptions):

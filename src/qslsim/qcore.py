@@ -57,12 +57,19 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _require_finite(arr: np.ndarray, name: str) -> None:
+    # The invariant checks compare `deviation > tol`, which is false for NaN.
+    if not np.isfinite(arr).all():
+        raise InvariantViolation(f"{name} has a non-finite entry (NaN or infinity)")
+
+
 def _as_vector(raw, dim: int, name: str) -> np.ndarray:
     vec = np.asarray(raw, dtype=complex)
     if vec.ndim != 1 or vec.shape[0] != dim:
         raise InvariantViolation(
             f"{name}: expected a complex vector of length {dim}, got shape {vec.shape}"
         )
+    _require_finite(vec, name)
     return vec
 
 
@@ -72,6 +79,7 @@ def _as_square(raw, dim: int, name: str) -> np.ndarray:
         raise InvariantViolation(
             f"{name}: expected a {dim}x{dim} complex matrix, got shape {mat.shape}"
         )
+    _require_finite(mat, name)
     return mat
 
 
@@ -175,6 +183,9 @@ State = Union[PureState, DensityMatrix]
 class Hamiltonian:
     """Hermitian operator, diagonalized once at construction.
 
+    The constructions whose spectrum is known in closed form hand it over
+    instead, through ``_from_eigensystem``.
+
     ``ground_energy`` caches the minimum eigenvalue; the eigensystem is reused
     by every evolution and bound computation.  Operations that assume a zero
     ground state check ``is_ground_shifted`` and reject other inputs rather
@@ -203,10 +214,13 @@ class Hamiltonian:
         evecs: np.ndarray,
     ) -> "Hamiltonian":
         # Internal fast path for matrices whose decomposition is already known
-        # (e.g. a ground shift, which only slides the spectrum).
+        # (e.g. a ground shift, which only slides the spectrum).  Callers hand
+        # over a fresh matrix, which is frozen in place rather than copied.
+        frozen = np.asarray(matrix, dtype=complex)
+        frozen.flags.writeable = False
         obj = object.__new__(cls)
         object.__setattr__(obj, "layout", layout)
-        object.__setattr__(obj, "matrix", _freeze(matrix))
+        object.__setattr__(obj, "matrix", frozen)
         object.__setattr__(obj, "ground_energy", float(evals[0]))
         object.__setattr__(obj, "_evals", evals)
         object.__setattr__(obj, "_evecs", evecs)
@@ -253,8 +267,8 @@ class SeparableEnsemble:
         terms = tuple(tuple(term) for term in self.terms)
         if not weights or len(weights) != len(terms):
             raise InvariantViolation("need one weight per ensemble term")
-        if any(w <= 0.0 for w in weights):
-            raise InvariantViolation(f"weights must be positive, got {weights}")
+        if not all(0.0 < w < math.inf for w in weights):
+            raise InvariantViolation(f"weights must be positive and finite, got {weights}")
         total = math.fsum(weights)
         if abs(total - 1.0) > WEIGHT_TOL:
             raise InvariantViolation(f"weights sum to {total!r}, expected 1")
@@ -331,6 +345,19 @@ def tensor_product(factors: Sequence[Sequence[complex]],
     return PureState(lay, reduce(np.kron, vecs))
 
 
+def _add_local(total: np.ndarray, op: np.ndarray, site: int, dims: Sequence[int]) -> None:
+    """Add ``op`` on subsystem ``site`` (identity elsewhere) into ``total`` in place.
+
+    Writes only the D * d entries the embedding touches: with rows and
+    columns split as (left, site, right), entry (l a r, l b r) gets op[a, b].
+    """
+    left = math.prod(dims[:site])
+    right = math.prod(dims[site + 1:])
+    blocks = total.reshape(left, dims[site], right, left, dims[site], right)
+    touched = np.einsum("iajibj->iajb", blocks)  # a writable view into total
+    touched += op[None, :, None, :]
+
+
 def embed_local(op, site: int, layout: SubsystemLayout) -> np.ndarray:
     """Embed a Hermitian single-subsystem operator as identity-elsewhere.
 
@@ -344,10 +371,45 @@ def embed_local(op, site: int, layout: SubsystemLayout) -> np.ndarray:
     local_dim = layout.dims[site]
     mat = _as_square(op, local_dim, f"local operator at site {site}")
     _require_hermitian(mat, f"local operator at site {site}")
-    left = math.prod(layout.dims[:site])
-    right = math.prod(layout.dims[site + 1:])
-    return np.kron(np.kron(np.eye(left, dtype=complex), mat),
-                   np.eye(right, dtype=complex))
+    out = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
+    _add_local(out, mat, site, layout.dims)
+    return out
+
+
+def _kron_columns(factors: Sequence[np.ndarray], order: np.ndarray) -> np.ndarray:
+    """Columns ``order`` of the Kronecker product of the square ``factors``.
+
+    Column (i, j) of A (x) B is A[:, i] (x) B[:, j]; splitting the factors
+    into two halves writes the selected columns in one pass, without building
+    the full product first.
+    """
+    unit = np.ones((1, 1), dtype=complex)
+    half = len(factors) // 2
+    left = reduce(np.kron, factors[:half], unit)
+    right = reduce(np.kron, factors[half:], unit)
+    i, j = np.divmod(order, right.shape[1])
+    out = np.empty((left.shape[0] * right.shape[0], order.size), dtype=complex)
+    np.multiply(left[:, None, i], right[None, :, j],
+                out=out.reshape(left.shape[0], right.shape[0], order.size))
+    return out
+
+
+def _local_sum(layout: SubsystemLayout, local_hamiltonians: Sequence[Hamiltonian]) -> Hamiltonian:
+    """Sum of local terms, one per consecutive block of the Kronecker order.
+
+    The blocks are the locals' own spaces, which may each span several slots
+    of ``layout``.  The spectrum is the Kronecker sum's, lam_i + mu_j with
+    eigenvector u_i (x) v_j, so the full matrix is never diagonalized.
+    """
+    dims = tuple(h.layout.total_dim for h in local_hamiltonians)
+    matrix = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
+    for site, local in enumerate(local_hamiltonians):
+        _add_local(matrix, local.matrix, site, dims)
+    systems = [h.eigensystem() for h in local_hamiltonians]
+    evals = reduce(np.add.outer, (lam for lam, _ in systems)).reshape(-1)
+    order = np.argsort(evals, kind="stable")
+    evecs = _kron_columns([vecs for _, vecs in systems], order)
+    return Hamiltonian._from_eigensystem(layout, matrix, evals[order], evecs)
 
 
 def noninteracting_hamiltonian(local_hamiltonians: Sequence[Hamiltonian],
@@ -359,10 +421,7 @@ def noninteracting_hamiltonian(local_hamiltonians: Sequence[Hamiltonian],
     if len(local_hamiltonians) == 0:
         raise InvariantViolation("need at least one local hamiltonian")
     layout = SubsystemLayout(tuple(h.layout.total_dim for h in local_hamiltonians), cap=cap)
-    total = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
-    for k, local in enumerate(local_hamiltonians):
-        total += embed_local(local.matrix, k, layout)
-    return Hamiltonian(layout, total)
+    return _local_sum(layout, local_hamiltonians)
 
 
 def ground_shift(hamiltonian: Hamiltonian) -> Hamiltonian:

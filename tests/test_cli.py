@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qslsim import Hamiltonian, PureState, SubsystemLayout, dump_system, make_psi_ent
-from qslsim import EntangledChainSpec
+from qslsim import EntangledChainSpec, OrthogonalityResult
 from qslsim.cli import main
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -125,6 +125,24 @@ class TestTperpCmd:
         assert code == 3
         assert "norm" in err
 
+    @pytest.mark.parametrize("field", ["amplitudes", "hamiltonian"])
+    def test_nan_literal_exit_3(self, capsys, tmp_path, field):
+        system = {
+            "dims": [2],
+            "amplitudes": [[INV_SQRT2, 0.0], [INV_SQRT2, 0.0]],
+            "hamiltonian": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+        }
+        system[field][0][1] = math.nan
+        text = json.dumps(system)  # json.load accepts the literal NaN it writes
+        assert "NaN" in text
+        path = tmp_path / "nan.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "tperp", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("invalid input:") and "non-finite" in err
+        assert err.count("\n") == 1
+
     def test_json_envelope(self, capsys, tmp_path):
         path = tmp_path / "qubit.json"
         write_saturating_qubit(path)
@@ -166,6 +184,35 @@ class TestFig1Cmd:
         assert code == 0
         row = out.strip().split("\n")[1].split(",")
         assert row[1] == "1.57079632679"  # pi/2 at 12 significant digits
+
+    def test_bump_against_mpmath(self, capsys):
+        # M = 9 is odd, so the overlap cos(r t) cos^9(t) - sin(r t) sin^9(t)
+        # (omega0 = 1, omega = r) is real and t_perp is its first sign change,
+        # located here at 40 digits independently of qslsim.
+        mpmath = pytest.importorskip("mpmath")
+        code, out, _ = run(capsys, "fig1", "--start", "1", "--stop", "1.75", "--step", "0.25")
+        assert code == 0
+        rows = {float(r.split(",")[0]): r.split(",") for r in out.strip().split("\n")[1:]}
+        with mpmath.workdps(40):
+            for r, ratio in [(1.0, 1.581139), (1.25, 1.584669), (1.75, 1.596058)]:
+                r_mp = mpmath.mpf(r)
+
+                def overlap(t):
+                    return (mpmath.cos(r_mp * t) * mpmath.cos(t) ** 9
+                            - mpmath.sin(r_mp * t) * mpmath.sin(t) ** 9)
+
+                step = mpmath.pi / (64 * (r_mp + 9))
+                t = step
+                while overlap(t) > 0:
+                    t += step
+                t_perp = mpmath.findroot(overlap, (t - step, t), solver="anderson")
+                t_qsl = mpmath.pi / (2 * mpmath.sqrt(r_mp ** 2 + 9))
+                assert float(rows[r][1]) == pytest.approx(float(t_perp), abs=1e-9)
+                assert float(t_perp / t_qsl) == pytest.approx(ratio, abs=5e-7)
+                assert float(rows[r][3]) == pytest.approx(float(t_perp / t_qsl), abs=1e-9)
+        assert float(rows[1.0][1]) == pytest.approx(math.pi / 4, abs=1e-11)
+        # the ratio rises over the bump, against criterion 3's monotonicity clause
+        assert float(rows[1.0][3]) < float(rows[1.25][3]) < float(rows[1.75][3])
 
     def test_limit_row(self, capsys):
         code, out, _ = run(capsys, "fig1", "--qubits", "9", "--stop", "0",
@@ -345,6 +392,27 @@ class TestGroupsCmd:
                              "--stop", "0.5", "--step", "1")
         row = out2.strip().split("\n")[1].split(",")
         assert float(fields["t_perp"]) == pytest.approx(float(row[1]), abs=1e-10)
+
+    def test_default_couplings_three_by_three(self, capsys):
+        # The product cos^18(t) stays below the matrix threshold 1e-20 on
+        # about [1.49, 1.65]; the matrix solver may stop anywhere in there.
+        code, out, _ = run(capsys, "groups", "--groups", "3", "--per-group", "3")
+        assert code == 0
+        fields = dict(part.split("=") for part in out.strip().split(" "))
+        assert float(fields["t_perp"]) == pytest.approx(math.pi / 2, abs=1e-10)
+
+    @pytest.mark.parametrize("t_wrong", [1.0, 1.5 * math.pi])
+    def test_group_answer_outside_first_valley_exit_4(self, capsys, monkeypatch, t_wrong):
+        # 1.0 precedes the first valley of cos^18(t) and 3*pi/2 is the second
+        import qslsim.cli as cli_module
+
+        def wrong(*args, **kwargs):
+            return OrthogonalityResult(True, t_wrong, 0.0, t_wrong, 10.0)
+
+        monkeypatch.setattr(cli_module, "grouped_t_perp", wrong)
+        code, _, err = run(capsys, "groups", "--groups", "3", "--per-group", "3")
+        assert code == 4
+        assert "first interval" in err
 
     def test_cap_exceeded_exit_2(self, capsys):
         code, _, err = run(capsys, "groups", "--groups", "4", "--per-group", "4",

@@ -13,6 +13,7 @@ from qslsim import (
     EntangledChainSpec,
     Hamiltonian,
     InvariantViolation,
+    PureState,
     SearchOptions,
     SubsystemLayout,
     analyze_ensemble_at_qsl,
@@ -34,6 +35,8 @@ from qslsim import (
     state_overlap,
     survival,
 )
+from qslsim.dynamics import _SurvivalSignal
+from conftest import random_hermitian
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -111,6 +114,8 @@ class TestEntangledChain:
             EntangledChainSpec(2, 0, 1.0)
         with pytest.raises(InvariantViolation):
             EntangledChainSpec(2, 2, 0.0)
+        with pytest.raises(InvariantViolation, match="finite"):
+            EntangledChainSpec(2, 2, math.inf)
 
 
 class TestChainSurvivalAmplitude:
@@ -208,6 +213,11 @@ class TestCollective:
             CollectiveSpec(2, -1.0, 1.0)
         with pytest.raises(InvariantViolation):
             CollectiveSpec(2, 1.0, 0.0, bits=(0, 1, 0))
+        # the constructions hand their spectrum over unchecked, so the spec
+        # is the last place a non-finite coupling can be stopped
+        for omega0, omega in [(math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0), (1.0, math.inf)]:
+            with pytest.raises(InvariantViolation, match="finite"):
+                CollectiveSpec(2, omega0, omega)
         with pytest.raises(InvariantViolation, match="cap"):
             make_collective(CollectiveSpec(13, 1.0, 0.0))
 
@@ -361,6 +371,68 @@ class TestGrouped:
 
 
 # ---------------------------------------------------------------------------
+# structured eigensystems against a dense eigendecomposition
+# ---------------------------------------------------------------------------
+
+
+def _noninteracting_system(dims, seed):
+    rng = np.random.default_rng(seed)
+    locals_ = [Hamiltonian(SubsystemLayout((d,)), random_hermitian(rng, d)) for d in dims]
+    h = noninteracting_hamiltonian(locals_)
+    vec = rng.standard_normal(h.layout.total_dim) + 1j * rng.standard_normal(h.layout.total_dim)
+    return PureState(h.layout, vec / np.linalg.norm(vec)), h
+
+
+STRUCTURED = {
+    "collective-M1": lambda: make_collective(CollectiveSpec(1, 1.0, 0.4)),
+    "collective-M4-bits": lambda: make_collective(CollectiveSpec(4, 0.6, 1.3, (1, 0, 1, 1))),
+    "collective-M9-omega0": lambda: make_collective(CollectiveSpec(9, 0.0, 1.3)),
+    "collective-M9-omega": lambda: make_collective(CollectiveSpec(9, 1.0, 0.0)),
+    "collective-M9": lambda: make_collective(CollectiveSpec(9, 0.8, 1.7)),
+    "grouped-3x3": lambda: make_grouped(3, 3, 1.0, 3.6),
+    "grouped-2x4-omega0": lambda: make_grouped(2, 4, 0.0, 1.0),
+    "grouped-5x1": lambda: make_grouped(5, 1, 0.7, 0.3),
+    "psi-ent-2x9": lambda: make_psi_ent(EntangledChainSpec(2, 9, 0.7))[:2],
+    "psi-ent-3x4": lambda: make_psi_ent(EntangledChainSpec(3, 4, 1.3))[:2],
+    "psi-ent-8x3": lambda: make_psi_ent(EntangledChainSpec(8, 3, 1.0))[:2],
+    "local-sum-2x3x4": lambda: _noninteracting_system((2, 3, 4), 1),
+    "local-sum-5": lambda: _noninteracting_system((5,), 2),
+    "local-sum-16x32": lambda: _noninteracting_system((16, 32), 3),
+    "local-sum-9-qubits": lambda: _noninteracting_system((2,) * 9, 4),
+}
+
+
+class TestStructuredEigensystems:
+    @pytest.mark.parametrize("name", sorted(STRUCTURED))
+    def test_matches_dense_eigh(self, name):
+        state, h = STRUCTURED[name]()
+        evals, evecs = h.eigensystem()
+        dim = h.layout.total_dim
+        assert np.all(np.diff(evals) >= 0.0)
+        assert h.ground_energy == evals[0]
+        assert_allclose(evals, np.linalg.eigvalsh(h.matrix), rtol=0, atol=1e-12)
+        assert_allclose((evecs * evals) @ evecs.conj().T, h.matrix, rtol=0, atol=1e-12)
+        assert_allclose(evecs.conj().T @ evecs, np.eye(dim), rtol=0, atol=1e-12)
+
+        dense = Hamiltonian(h.layout, h.matrix)
+        ts = np.linspace(0.0, 4.0, 33)
+        assert_allclose(survival(state, h, ts), survival(state, dense, ts), rtol=0, atol=1e-12)
+        if dim <= 64:
+            vecs = np.array([state.amplitudes, evecs[:, -1]])
+            rho = DensityMatrix(h.layout, 0.7 * np.outer(vecs[0], vecs[0].conj())
+                                + 0.3 * np.outer(vecs[1], vecs[1].conj()))
+            assert_allclose(survival(rho, h, ts), survival(rho, dense, ts), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("omega0,omega", [(1.0, 0.0), (0.0, 1.0), (0.8, 1.7)])
+    def test_collective_signal_merges_degenerate_levels(self, omega0, omega):
+        state, h = make_collective(CollectiveSpec(9, omega0, omega))
+        signal = _SurvivalSignal(state, h)
+        assert signal._freqs.size <= 2 * (9 + 1)
+        assert np.all(np.diff(signal._freqs) > 0.0)
+        assert signal._weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # mixture demo
 # ---------------------------------------------------------------------------
 
@@ -423,3 +495,5 @@ class TestMixtureDemo:
     def test_omega_must_be_positive(self):
         with pytest.raises(InvariantViolation):
             make_mixture_demo(0.0)
+        with pytest.raises(InvariantViolation, match="finite"):
+            make_mixture_demo(math.inf)

@@ -103,6 +103,19 @@ class TestTypeInvariants:
         with pytest.raises(InvariantViolation, match="Hermitian"):
             Hamiltonian(lay, np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_non_finite_entries_rejected(self, bad):
+        # a NaN passes every `deviation > tol` test, so it is caught up front
+        lay = SubsystemLayout((2,))
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            PureState(lay, np.array([bad, 0.0]))
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            DensityMatrix(lay, np.array([[1.0, 0.0], [0.0, bad]]))
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            Hamiltonian(lay, np.array([[0.0, bad], [bad, 1.0]]))
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            embed_local(np.array([[bad, 0.0], [0.0, 0.0]]), 0, lay)
+
     def test_hamiltonian_ground_energy_cached(self):
         h = Hamiltonian(SubsystemLayout((2,)), np.diag([-1.0, 1.0]).astype(complex))
         assert h.ground_energy == pytest.approx(-1.0)
@@ -122,6 +135,8 @@ class TestTypeInvariants:
             SeparableEnsemble((0.5, 0.4), ((rho,), (rho,)))
         with pytest.raises(InvariantViolation, match="positive"):
             SeparableEnsemble((1.5, -0.5), ((rho,), (rho,)))
+        with pytest.raises(InvariantViolation, match="finite"):
+            SeparableEnsemble((math.nan, 0.5), ((rho,), (rho,)))
 
     def test_ensemble_factor_dims_checked(self):
         lay2 = SubsystemLayout((2,))
