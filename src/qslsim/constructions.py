@@ -27,6 +27,7 @@ from .qcore import (
     PureState,
     SeparableEnsemble,
     SubsystemLayout,
+    _dense_empty,
     _kron_columns,
     _local_sum,
     noninteracting_hamiltonian,
@@ -178,7 +179,8 @@ def _collective_hamiltonian(qubits: int, omega0: float, omega: float,
     """
     dim = 2 ** qubits
     index = np.arange(dim)
-    matrix = np.zeros((dim, dim), dtype=complex)
+    matrix = _dense_empty(dim, dim)
+    matrix.fill(0.0)
     matrix[index, index] = qubits * omega0 + omega
     for k in range(qubits):
         matrix[index ^ (1 << k), index] -= omega0

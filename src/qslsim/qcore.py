@@ -12,6 +12,7 @@ functions, so everything here is safe for concurrent use.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -49,6 +50,30 @@ class NumericalFailure(RuntimeError):
 # ---------------------------------------------------------------------------
 # array helpers
 # ---------------------------------------------------------------------------
+
+#: Size and alignment of a transparent huge page on x86-64 and arm64 Linux.
+_HUGE_PAGE = 1 << 21
+
+
+def _dense_empty(rows: int, cols: int) -> np.ndarray:
+    """An uninitialized complex matrix; from 4 MiB up, on a huge-page boundary.
+
+    A freshly built D x D matrix costs more in first-touch page faults than in
+    arithmetic.  numpy asks the kernel for transparent huge pages on arrays of
+    4 MiB or more, but only the 2 MiB-aligned stretches inside an array can
+    get them.  Unaligned, a D = 512 matrix takes anywhere from 0 to about 1500
+    faults, and up to 1.7x the build time, depending on where the allocator
+    places it, which differs from one process to the next.  Starting the array
+    on a boundary lets every stretch be a huge page.  Callers that need zeros
+    write them with ``fill``: ``np.zeros`` may touch the pages before numpy's
+    advice.
+    """
+    nbytes = rows * cols * 16
+    if nbytes < 2 * _HUGE_PAGE:
+        return np.empty((rows, cols), dtype=complex)
+    raw = np.empty(nbytes + _HUGE_PAGE, dtype=np.uint8)
+    start = -raw.ctypes.data % _HUGE_PAGE
+    return raw[start:start + nbytes].view(complex).reshape(rows, cols)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -388,7 +413,7 @@ def _kron_columns(factors: Sequence[np.ndarray], order: np.ndarray) -> np.ndarra
     left = reduce(np.kron, factors[:half], unit)
     right = reduce(np.kron, factors[half:], unit)
     i, j = np.divmod(order, right.shape[1])
-    out = np.empty((left.shape[0] * right.shape[0], order.size), dtype=complex)
+    out = _dense_empty(left.shape[0] * right.shape[0], order.size)
     np.multiply(left[:, None, i], right[None, :, j],
                 out=out.reshape(left.shape[0], right.shape[0], order.size))
     return out
@@ -402,7 +427,8 @@ def _local_sum(layout: SubsystemLayout, local_hamiltonians: Sequence[Hamiltonian
     eigenvector u_i (x) v_j, so the full matrix is never diagonalized.
     """
     dims = tuple(h.layout.total_dim for h in local_hamiltonians)
-    matrix = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
+    matrix = _dense_empty(layout.total_dim, layout.total_dim)
+    matrix.fill(0.0)
     for site, local in enumerate(local_hamiltonians):
         _add_local(matrix, local.matrix, site, dims)
     systems = [h.eigensystem() for h in local_hamiltonians]
@@ -432,7 +458,8 @@ def ground_shift(hamiltonian: Hamiltonian) -> Hamiltonian:
     """
     evals, evecs = hamiltonian.eigensystem()
     lam0 = hamiltonian.ground_energy
-    shifted = hamiltonian.matrix - lam0 * np.eye(hamiltonian.layout.total_dim)
+    shifted = hamiltonian.matrix.copy()
+    shifted.flat[:: hamiltonian.layout.total_dim + 1] -= lam0
     return Hamiltonian._from_eigensystem(hamiltonian.layout, shifted, evals - lam0, evecs)
 
 
@@ -517,6 +544,11 @@ def _pairs_to_array(raw, count: int, name: str) -> np.ndarray:
         raise SchemaError(f"{name}: expected an array of [re, im] pairs")
     if len(raw) != count:
         raise SchemaError(f"{name}: expected {count} pairs, got {len(raw)}")
+    pairs = _number_pairs(raw)
+    if pairs is not None:
+        return pairs.view(complex)
+    # One entry at a time: names the first malformed entry, and converts
+    # subclasses of int and float, which the bulk check leaves to this loop.
     out = np.empty(count, dtype=complex)
     for i, entry in enumerate(raw):
         if (
@@ -525,8 +557,24 @@ def _pairs_to_array(raw, count: int, name: str) -> np.ndarray:
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
         ):
             raise SchemaError(f"{name}[{i}]: expected a [re, im] pair of numbers")
-        out[i] = complex(entry[0], entry[1])
+        try:
+            out[i] = complex(entry[0], entry[1])
+        except OverflowError:  # an integer literal beyond the double range
+            raise SchemaError(f"{name}[{i}]: number too large for a double") from None
     return out
+
+
+def _number_pairs(raw: list) -> np.ndarray | None:
+    """``raw`` flattened to floats if every entry is a list or tuple of two
+    ints or floats (not bools), else None; checks and conversion run in bulk."""
+    if not (set(map(type, raw)) <= {list, tuple} and set(map(len, raw)) <= {2}):
+        return None
+    if not set(map(type, itertools.chain.from_iterable(raw))) <= {int, float}:
+        return None
+    try:
+        return np.fromiter(itertools.chain.from_iterable(raw), dtype=float, count=2 * len(raw))
+    except OverflowError:
+        return None
 
 
 def _array_to_pairs(arr: np.ndarray) -> list[list[float]]:

@@ -143,6 +143,16 @@ class TestTperpCmd:
         assert err.startswith("invalid input:") and "non-finite" in err
         assert err.count("\n") == 1
 
+    def test_oversized_integer_exit_2(self, capsys, tmp_path):
+        # json.load turns a 400-digit integer literal into an int no double holds
+        path = tmp_path / "big.json"
+        path.write_text('{"dims": [2], "amplitudes": [[1, 0], [0, 0]], '
+                        '"hamiltonian": [[0, 0], [0, 0], [0, 0], [1' + "0" * 400 + ', 0]]}')
+        code, out, err = run(capsys, "tperp", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "schema error: hamiltonian[3]: number too large for a double\n"
+
     def test_json_envelope(self, capsys, tmp_path):
         path = tmp_path / "qubit.json"
         write_saturating_qubit(path)

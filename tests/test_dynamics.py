@@ -1,6 +1,7 @@
 """Tests for unitary evolution and the first-orthogonality-time solver."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from qslsim import (
     state_overlap,
     survival,
 )
+from qslsim import dynamics
+from qslsim.dynamics import _EVAL_BUDGET, _golden_min, _golden_min_batch, _SurvivalSignal
 from conftest import random_density, random_pure, random_shifted_hamiltonian
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -155,6 +158,66 @@ class TestSurvival:
         assert survival(rho, h, 0.0) == pytest.approx(purity, abs=1e-12)
 
 
+class TestCosineSumSignal:
+    @staticmethod
+    def direct_sum(rho, h, ts):
+        # sum_{ab} |rho_ab|^2 exp(-i (lam_a - lam_b) t) in the eigenbasis, all D^2 terms
+        evals, evecs = h.eigensystem()
+        coeffs = np.abs(evecs.conj().T @ rho.matrix @ evecs) ** 2
+        gaps = (evals[:, None] - evals[None, :]).reshape(-1)
+        return (np.exp(-1j * np.outer(ts, gaps)) @ coeffs.reshape(-1)).real
+
+    @staticmethod
+    def degenerate_system(rng, dim):
+        # exactly repeated integer levels (a diagonal H keeps them exact):
+        # zero gaps and many equal gaps
+        evals = np.sort(rng.integers(0, 4, dim).astype(float))
+        evals -= evals[0]
+        h = Hamiltonian(SubsystemLayout((dim,)), np.diag(evals).astype(complex))
+        return random_density(rng, dim, rank=3), h
+
+    def test_matches_direct_sum_and_evolution(self, rng):
+        systems = [(random_density(rng, 6), random_shifted_hamiltonian(rng, 6)),
+                   (random_density(rng, 7, rank=1), random_shifted_hamiltonian(rng, 7)),
+                   (random_density(rng, 8, rank=2), random_shifted_hamiltonian(rng, 8)),
+                   self.degenerate_system(rng, 9)]
+        ts = np.linspace(0.0, 9.0, 37)
+        for rho, h in systems:
+            values = _SurvivalSignal(rho, h).evaluate(ts)
+            assert_allclose(values, self.direct_sum(rho, h, ts), rtol=0, atol=1e-13)
+            for t, value in zip(ts[::6], values[::6]):
+                direct = state_overlap(evolve(rho, h, float(t)), rho)
+                assert value == pytest.approx(direct, abs=1e-13)
+
+    def test_merges_equal_gaps(self, rng):
+        rho, h = self.degenerate_system(rng, 9)
+        signal = _SurvivalSignal(rho, h)
+        evals = h.eigensystem()[0]
+        gaps = np.unique(np.abs(evals[:, None] - evals[None, :]))
+        assert gaps[0] == 0.0 and gaps.size <= 4
+        # one term per distinct positive gap, the zero gaps folded into the constant
+        assert np.array_equal(signal._freqs, gaps[1:])
+        assert signal.bandwidth == pytest.approx(evals.max(), abs=1e-12)
+
+    def test_d128_blocks_stay_within_budget(self, rng):
+        rho = random_density(rng, 128)
+        h = random_shifted_hamiltonian(rng, 128)
+        signal = _SurvivalSignal(rho, h)
+        ts = np.linspace(0.0, 50.0, 4001)
+        assert signal._weights.size * ts.size > 100 * _EVAL_BUDGET  # many blocks
+        tracemalloc.start()
+        try:
+            values = signal.evaluate(ts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one block of cosines (8 bytes per time x term) plus the output and
+        # small per-block vectors; the whole scan at once would take ~260 MB
+        assert peak <= 8 * _EVAL_BUDGET + 2 * values.nbytes + (1 << 16)
+        picks = np.arange(0, ts.size, 997)  # across block boundaries
+        assert_allclose(values[picks], self.direct_sum(rho, h, ts[picks]), rtol=0, atol=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # scan_first_zero on analytic signals
 # ---------------------------------------------------------------------------
@@ -195,6 +258,52 @@ class TestScanFirstZero:
         fn = lambda ts: np.cos(ts) ** 2
         res = scan_first_zero(fn, horizon=50.0, bandwidth=2.0, accept_tol=1e-18)
         assert res.t_perp == pytest.approx(math.pi / 2, abs=1e-10)
+
+    def test_deeper_minimum_behind_higher_sample(self):
+        # 0.6 + 0.3 cos(t - t0) + 0.004 cos((t - t0) / 3) dips to 0.302 at
+        # t0 + pi and to 0.296 at t0 + 3*pi.  The step h = 2*pi/8.5 puts a
+        # sample on the shallow dip and the deep one halfway between samples.
+        h = 2.0 * math.pi / 8.5
+        t0 = 5.0 * h - math.pi
+        fn = lambda ts: 0.6 + 0.3 * np.cos(ts - t0) + 0.004 * np.cos((ts - t0) / 3.0)
+        horizon = 16.0 * h
+        samples = fn(np.linspace(0.0, horizon, 17))
+        assert samples[5] == pytest.approx(0.302, abs=1e-12)
+        assert min(samples[13], samples[14]) > samples[5] + 0.01
+        res = scan_first_zero(fn, horizon=horizon, bandwidth=1.0, accept_tol=1e-9, scale=1.0)
+        assert not res.found
+        assert res.min_overlap == pytest.approx(0.296, abs=1e-12)
+        assert res.t_at_min == pytest.approx(t0 + 3.0 * math.pi, abs=1e-6)
+
+    def test_zero_after_shallow_dips_is_returned(self, monkeypatch):
+        # 0.5 + 0.4 cos t + 0.1 cos(t/7) dips to 0.19, 0.12 and 0.04 at pi,
+        # 3 pi and 5 pi, and to an exact zero at 7 pi.  At scan fraction 0.1
+        # the Bernstein margin is ~0.012, so only the last dip may hold a zero.
+        fn = lambda ts: 0.5 + 0.4 * np.cos(ts) + 0.1 * np.cos(ts / 7.0)
+        refined = []
+        original = dynamics._refine_bracket
+
+        def spy(vec_fn, a, b, accept_tol, *args):
+            refined.append((a, b))
+            return original(vec_fn, a, b, accept_tol, *args)
+
+        monkeypatch.setattr(dynamics, "_refine_bracket", spy)
+        res = scan_first_zero(fn, horizon=30.0, bandwidth=1.0, accept_tol=1e-12,
+                              scan_fraction=0.1, scale=1.0)
+        assert res.found
+        assert res.t_perp == pytest.approx(7.0 * math.pi, abs=1e-6)
+        # only brackets of the last dip were refined one at a time
+        assert refined and all(a > 6.0 * math.pi for a, _ in refined)
+
+    def test_batched_golden_matches_scalar(self):
+        fn = lambda ts: np.sin(3.0 * ts) + 0.2 * np.cos(7.0 * ts)
+        a = np.array([1.0, 2.5, 4.6, 5.9])
+        b = a + 0.3
+        xs, values = _golden_min_batch(fn, a, b)
+        for lo, hi, x, value in zip(a, b, xs, values):
+            ref_x, ref_value = _golden_min(lambda t: float(fn(np.array([t]))[0]), lo, hi)
+            assert x == pytest.approx(ref_x, abs=1e-9)
+            assert value == pytest.approx(ref_value, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from qslsim import (
     system_to_json,
     tensor_product,
 )
+from qslsim.qcore import _HUGE_PAGE, _pairs_to_array
 from conftest import random_density, random_hermitian, random_pure
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -280,6 +281,19 @@ class TestGroundShift:
             evals = np.linalg.eigvalsh(shifted.matrix)
             assert abs(evals[0]) < 1e-10
 
+    def test_matches_identity_subtraction(self, rng):
+        # the diagonal update gives the matrix and spectrum of H - lam0 * I
+        for dim in (2, 7, 64):
+            h = Hamiltonian(SubsystemLayout((dim,)), random_hermitian(rng, dim, scale=3.0))
+            before = h.matrix.copy()
+            shifted = ground_shift(h)
+            expected = h.matrix - h.ground_energy * np.eye(dim)
+            assert_allclose(shifted.matrix, expected, rtol=0, atol=1e-15)
+            assert_allclose(shifted.eigensystem()[0], h.eigensystem()[0] - h.ground_energy,
+                            rtol=0, atol=1e-15)
+            assert not shifted.matrix.flags.writeable
+            assert np.array_equal(h.matrix, before)  # the input is not touched
+
 
 class TestEnergyStats:
     def test_eigenstate_has_zero_spread(self):
@@ -445,6 +459,22 @@ class TestNoninteracting:
         assert_allclose(total.matrix, manual, atol=1e-15)
         assert total.is_ground_shifted
 
+    def test_large_matrices_start_on_a_huge_page(self):
+        # D = 512 (4 MiB): the matrix and its eigenvectors are aligned views,
+        # read-only, and the matrix holds exactly the embedded local terms
+        local = Hamiltonian(SubsystemLayout((8,)), np.diag(1.3 * np.arange(8.0)).astype(complex))
+        total = noninteracting_hamiltonian([local] * 3)
+        lay = total.layout
+        manual = sum(embed_local(local.matrix, site, lay) for site in range(3))
+        assert np.array_equal(total.matrix, manual)
+        evecs = total.eigensystem()[1]
+        for arr in (total.matrix, evecs):
+            assert arr.ctypes.data % _HUGE_PAGE == 0
+            assert arr.flags.c_contiguous and arr.dtype == complex
+        assert not total.matrix.flags.writeable
+        assert_allclose(evecs @ np.diag(total.eigensystem()[0]) @ evecs.conj().T,
+                        manual, rtol=0, atol=1e-12)
+
 
 # ---------------------------------------------------------------------------
 # JSON wire format
@@ -494,6 +524,30 @@ class TestJson:
                 "dims": [2], "amplitudes": [[1, 0], [0, 0]],
                 "hamiltonian": [[0, 0]] * 3,
             })
+
+    def test_bulk_conversion_matches_pairwise(self, rng):
+        raw = [[float(re), float(im)] for re, im in rng.standard_normal((64, 2))]
+        raw[3] = [2, -1]  # JSON integers
+        raw[5] = (0.5, -0.0)
+        out = _pairs_to_array(raw, 64, "matrix")
+        expected = np.array([complex(re, im) for re, im in raw])
+        assert out.dtype == complex and out.shape == (64,)
+        assert np.array_equal(out.view(float), expected.view(float))  # bit for bit
+
+    @pytest.mark.parametrize("bad", [
+        [True, 0.0], [0.0, False], ["1.5", 0.0], [None, 0.0], [1.0], [1.0, 0.0, 0.0],
+        [[1.0], [0.0]], "ab", {"re": 1.0, "im": 0.0}, 1.0, None,
+    ])
+    def test_bad_pair_named_by_index(self, bad):
+        pairs = [[0.0, 0.0]] * 4
+        pairs[2] = bad
+        with pytest.raises(SchemaError, match=r"^hamiltonian\[2\]: expected a \[re, im\] pair"):
+            system_from_json({"dims": [2], "amplitudes": [[1, 0], [0, 0]], "hamiltonian": pairs})
+
+    def test_oversized_integer_named_by_index(self):
+        pairs = [[0, 0], [0, 0], [0, 0], [10 ** 400, 0]]
+        with pytest.raises(SchemaError, match=r"^hamiltonian\[3\]: number too large"):
+            system_from_json({"dims": [2], "amplitudes": [[1, 0], [0, 0]], "hamiltonian": pairs})
 
     def test_invariant_violation_is_not_schema_error(self):
         obj = {

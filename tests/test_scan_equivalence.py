@@ -1,0 +1,190 @@
+"""The triaged, batched scan against a frozen copy of the sequential one.
+
+``reference_scan`` is the scan as it stood before bracket triage: every
+candidate bracket refined one at a time, in time order, by a fine scan and
+golden-section search.  It is kept here verbatim as the oracle and run on the
+same survival signal as ``first_orthogonal_time``, so the comparison isolates
+the scan (the signal is pinned against the direct sum over level pairs in
+``test_dynamics.py``).  The property test requires the same ``found``, the
+same first zero (to ``TIME_RESOLUTION`` for pure states, 1e-8 relative for
+density matrices, whose survival carries ~1e-16 round-off) and the same
+minimum to 1e-12 of the purity.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qslsim import (
+    DensityMatrix,
+    Hamiltonian,
+    PureState,
+    SearchOptions,
+    SubsystemLayout,
+    energy_stats,
+    first_orthogonal_time,
+    ground_shift,
+    qsl_time,
+)
+from qslsim.dynamics import HORIZON_MULTIPLIER, TIME_RESOLUTION, _SurvivalSignal
+from conftest import random_unitary
+
+MIXED_RELATIVE = 1e-8
+
+# ---------------------------------------------------------------------------
+# frozen reference: the sequential scan-and-refine
+# ---------------------------------------------------------------------------
+
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _reference_golden_min(fn, a, b, xtol=1e-12, max_iter=200):
+    x1 = b - _INV_GOLDEN * (b - a)
+    x2 = a + _INV_GOLDEN * (b - a)
+    f1, f2 = fn(x1), fn(x2)
+    best_x, best_f = (x1, f1) if f1 <= f2 else (x2, f2)
+    for _ in range(max_iter):
+        if b - a <= xtol:
+            break
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _INV_GOLDEN * (b - a)
+            f1 = fn(x1)
+            if f1 < best_f:
+                best_x, best_f = x1, f1
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INV_GOLDEN * (b - a)
+            f2 = fn(x2)
+            if f2 < best_f:
+                best_x, best_f = x2, f2
+    mid = 0.5 * (a + b)
+    fmid = fn(mid)
+    if fmid < best_f:
+        best_x, best_f = mid, fmid
+    return best_x, best_f
+
+
+def _reference_refine_bracket(vec_fn, a, b, accept_tol, subdivisions=64):
+    xs = np.linspace(a, b, subdivisions + 1)
+    ys = vec_fn(xs)
+    scalar = lambda x: float(vec_fn(np.array([x]))[0])
+    idx_best = int(np.argmin(ys))
+    best_t, best_val = float(xs[idx_best]), float(ys[idx_best])
+    for j in range(1, subdivisions):
+        if ys[j] <= ys[j - 1] and ys[j] <= ys[j + 1]:
+            t, value = _reference_golden_min(scalar, float(xs[j - 1]), float(xs[j + 1]))
+            if value < best_val:
+                best_t, best_val = t, value
+            if value <= accept_tol:
+                return True, t, value, best_t, best_val
+    return False, None, None, best_t, best_val
+
+
+def reference_scan(vec_fn, horizon, bandwidth, accept_tol, scan_fraction, scale):
+    """(found, t_perp, min_overlap, t_at_min) of the sequential scan."""
+    step_target = scan_fraction * math.pi / bandwidth
+    count = max(2, int(math.ceil(horizon / step_target)))
+    ts = np.linspace(0.0, horizon, count + 1)
+    vals = vec_fn(ts)
+    screen = 1.5 * (scan_fraction * math.pi / 2.0) ** 2 * scale
+    interior = int(np.argmin(vals[1:])) + 1
+    best_t, best_val = float(ts[interior]), float(vals[interior])
+    candidates = [
+        i for i in range(1, count)
+        if (vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]) or vals[i] <= screen
+    ]
+    if vals[count] <= vals[count - 1] or vals[count] <= screen:
+        candidates.append(count)
+    for i in candidates:
+        lo = float(ts[max(i - 1, 0)])
+        hi = float(ts[min(i + 1, count)])
+        found, t, value, local_t, local_val = _reference_refine_bracket(vec_fn, lo, hi, accept_tol)
+        if local_val < best_val:
+            best_t, best_val = local_t, local_val
+        if found:
+            return True, t, max(value, 0.0), t
+    if vals[count] <= accept_tol:
+        return True, horizon, float(vals[count]), horizon
+    return False, None, max(best_val, 0.0), best_t
+
+
+def reference_first_orthogonal_time(state, hamiltonian, opts):
+    signal = _SurvivalSignal(state, hamiltonian)
+    if signal.bandwidth <= 1e-12:
+        return False, None, signal.initial, 0.0
+    horizon = HORIZON_MULTIPLIER * qsl_time(energy_stats(state, hamiltonian)).time
+    return reference_scan(signal.evaluate, horizon, signal.bandwidth, opts.ortho_tol,
+                          opts.scan_fraction, signal.initial)
+
+
+# ---------------------------------------------------------------------------
+# random systems
+# ---------------------------------------------------------------------------
+
+
+def random_system(seed: int, dim: int, mixed: bool, commensurate: bool, rank: int):
+    """A ground-shifted system of dimension ``dim`` in a random basis.
+
+    Commensurate systems have an integer spectrum and states built from
+    uniform superpositions of k consecutive levels (two disjoint blocks of
+    equal size for a mixed state), whose survival vanishes at 2*pi/k.  The
+    others have a spectrum drawn uniformly from [0, 3) and a random state
+    of the given rank (a pure state when not ``mixed``).
+    """
+    rng = np.random.default_rng(seed)
+    layout = SubsystemLayout((dim,))
+    u = random_unitary(rng, dim)
+    if commensurate:
+        evals = np.arange(dim, dtype=float)
+        k = int(rng.integers(2, dim // 2 + 1)) if mixed else int(rng.integers(2, dim + 1))
+        start = int(rng.integers(0, dim - (2 if mixed else 1) * k + 1))
+        block = u[:, start:start + k].sum(axis=1) / math.sqrt(k)
+        vecs, probs = [block], [1.0]
+        if mixed:
+            p = float(rng.uniform(0.2, 0.8))
+            vecs.append(u[:, start + k:start + 2 * k].sum(axis=1) / math.sqrt(k))
+            probs = [p, 1.0 - p]
+    else:
+        evals = np.sort(rng.uniform(0.0, 3.0, dim))
+        g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+        vecs = list((g / np.linalg.norm(g, axis=0)).T)
+        probs = list(rng.dirichlet(np.ones(rank))) if mixed else [1.0]
+        vecs = vecs[:len(probs)]
+    h = ground_shift(Hamiltonian(layout, (u * evals) @ u.conj().T))
+    if not mixed:
+        return PureState(layout, vecs[0] / np.linalg.norm(vecs[0])), h
+    mat = sum(p * np.outer(v, v.conj()) for p, v in zip(probs, vecs))
+    return DensityMatrix(layout, 0.5 * (mat + mat.conj().T)), h
+
+
+class TestAgainstSequentialScan:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 12),
+        mixed=st.booleans(),
+        commensurate=st.booleans(),
+        rank_fraction=st.floats(0.0, 1.0),
+        ortho_exponent=st.floats(-12.0, -6.0),
+        scan_fraction=st.floats(0.05, 1.0),
+    )
+    def test_same_answer(self, seed, dim, mixed, commensurate, rank_fraction,
+                         ortho_exponent, scan_fraction):
+        if commensurate and mixed and dim < 4:
+            dim = 4
+        rank = 1 + int(rank_fraction * (dim - 1))
+        state, h = random_system(seed, dim, mixed, commensurate, rank)
+        opts = SearchOptions(ortho_tol=10.0 ** ortho_exponent, scan_fraction=scan_fraction)
+        result = first_orthogonal_time(state, h, opts)
+        found, t_perp, min_overlap, _ = reference_first_orthogonal_time(state, h, opts)
+
+        mixed_state = isinstance(state, DensityMatrix)
+        purity = float(np.vdot(state.matrix, state.matrix).real) if mixed_state else 1.0
+        assert result.found == found
+        if found:
+            tol = MIXED_RELATIVE * t_perp if mixed_state else TIME_RESOLUTION
+            assert abs(result.t_perp - t_perp) <= tol
+        assert abs(result.min_overlap - min_overlap) <= 1e-12 * purity
