@@ -7,10 +7,11 @@ levels (pure state) or a real cosine sum over merged level gaps (density
 matrix), evaluated in blocks of bounded size.  The solver locates the smallest
 positive time at which it drops to (numerical) zero by scanning at a step set
 by the spectral bandwidth of the signal.  Bernstein's inequality bounds how far
-the signal can dip between samples, which splits the bracketed minima into
-those that may hold a zero (refined one by one, in time order, by
-golden-section search) and those that can only lower the reported minimum
-(refined together in one vectorized pass, or dropped when they provably cannot).
+the signal can dip between samples.  Only the bracketed minima that may hold a
+zero are searched for one, one by one and in time order, by a fine scan and
+golden-section search on the fine minima that can still reach the tolerance.
+When there is no zero, branch and bound over the candidate brackets locates
+the reported minimum.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ _PAIR_CUT = 1e-18  # survival terms below this are dropped from the sum
 #: bounds its temporaries (512 KiB of cosines, 1 MiB of complex phases).
 _EVAL_BUDGET = 1 << 16
 _REFINE_SUBDIVISIONS = 64
+#: NotFound minima are located to this fraction of the signal's supremum.
+_MINIMUM_RTOL = 1e-13
 _MAX_SAMPLES = 20_000_000
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -263,92 +266,59 @@ def _golden_min(fn: Callable[[float], float], a: float, b: float,
 
 
 def _refine_bracket(vec_fn: Callable[[np.ndarray], np.ndarray],
-                    a: float, b: float, accept_tol: float,
+                    a: float, b: float, accept_tol: float, curvature: float,
                     subdivisions: int = _REFINE_SUBDIVISIONS):
-    """Resolve a candidate bracket: fine scan, then golden-refine its minima.
+    """Look for a zero in a candidate bracket: fine scan, then golden section.
 
     Only interior minima of the fine grid qualify: a sub-threshold value at a
     bracket edge is not evidence of a zero there (very flat zeros have wide
     sub-threshold valleys), and edge zeros are always centered in one of the
-    neighboring, overlapping candidate brackets.  Minima are processed left to
-    right so the first acceptable zero wins.
+    neighboring, overlapping candidate brackets.  A signal with
+    |s''| <= curvature lies at most curvature * dx**2 / 8 below the lower of
+    two fine samples dx apart, so only minima within that of ``accept_tol``
+    are refined.  They are processed left to right so the first acceptable
+    zero wins; returns (found, t, value).
     """
     xs = np.linspace(a, b, subdivisions + 1)
     ys = vec_fn(xs)
+    dx = (b - a) / subdivisions
+    mid = ys[1:-1]
+    reachable = ((mid <= ys[:-2]) & (mid <= ys[2:])
+                 & (mid <= accept_tol + curvature * dx * dx / 8.0))
     scalar = lambda x: float(vec_fn(np.array([x]))[0])
-    idx_best = int(np.argmin(ys))
-    best_t, best_val = float(xs[idx_best]), float(ys[idx_best])
-    for j in range(1, subdivisions):
-        if ys[j] <= ys[j - 1] and ys[j] <= ys[j + 1]:
-            t, value = _golden_min(scalar, float(xs[j - 1]), float(xs[j + 1]))
-            if value < best_val:
-                best_t, best_val = t, value
-            if value <= accept_tol:
-                return True, t, value, best_t, best_val
-    return False, None, None, best_t, best_val
-
-
-def _golden_min_batch(vec_fn: Callable[[np.ndarray], np.ndarray],
-                      a: np.ndarray, b: np.ndarray,
-                      xtol: float = _GOLDEN_XTOL,
-                      max_iter: int = 200) -> tuple[np.ndarray, np.ndarray]:
-    """``_golden_min`` on many intervals in lock step, one ``vec_fn`` call per step.
-
-    All intervals step until the widest is within ``xtol`` (they start
-    equally wide or nearly so); returns the best point seen and its value for
-    every interval.
-    """
-    x1 = b - _INV_GOLDEN * (b - a)
-    x2 = a + _INV_GOLDEN * (b - a)
-    f1, f2 = np.split(vec_fn(np.concatenate((x1, x2))), 2)
-    left = f1 <= f2
-    best_x, best_f = np.where(left, x1, x2), np.where(left, f1, f2)
-    for _ in range(max_iter):
-        if not np.any(b - a > xtol):
-            break
-        left = f1 <= f2
-        # left: the minimum is in [a, x2] and x1 becomes the new x2;
-        # right: it is in [x1, b] and x2 becomes the new x1
-        a, b = np.where(left, a, x1), np.where(left, x2, b)
-        new_x = np.where(left, b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a))
-        new_f = vec_fn(new_x)
-        kept_x, kept_f = np.where(left, x1, x2), np.where(left, f1, f2)
-        x1, x2 = np.where(left, new_x, kept_x), np.where(left, kept_x, new_x)
-        f1, f2 = np.where(left, new_f, kept_f), np.where(left, kept_f, new_f)
-        better = new_f < best_f
-        best_x, best_f = np.where(better, new_x, best_x), np.where(better, new_f, best_f)
-    mid = 0.5 * (a + b)
-    fmid = vec_fn(mid)
-    better = fmid < best_f
-    return np.where(better, mid, best_x), np.where(better, fmid, best_f)
+    for j in np.flatnonzero(reachable) + 1:
+        t, value = _golden_min(scalar, float(xs[j - 1]), float(xs[j + 1]))
+        if value <= accept_tol:
+            return True, t, value
+    return False, None, None
 
 
 def _lower_minimum(vec_fn: Callable[[np.ndarray], np.ndarray],
-                   lo: np.ndarray, hi: np.ndarray, curvature: float,
+                   lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarray,
+                   curvature: float, tol: float,
                    best_t: float, best_val: float) -> tuple[float, float]:
-    """Lower (best_t, best_val) by the minima of brackets that hold no zero.
+    """Lower (best_t, best_val) to within ``tol`` of the minimum over the cells.
 
-    One fine grid over all brackets at once (the grid ``_refine_bracket``
-    uses), then a lock-step golden section on every interior minimum of it
-    that could still go below ``best_val``: a signal with |s''| <= curvature
-    lies at most curvature * dx**2 / 8 below the nearest sample dx apart.
+    Branch and bound (Piyavskii-Shubert with a curvature bound): on a cell
+    [lo, hi] with end values f_lo, f_hi a signal with |s''| <= curvature lies
+    at most curvature * (hi - lo)**2 / 8 below min(f_lo, f_hi).  Cells whose
+    bound is not below ``best_val - tol``, or that are at most ``_GOLDEN_XTOL``
+    wide, are dropped; the others are bisected, one ``vec_fn`` call per level.
     """
-    xs = np.linspace(lo, hi, _REFINE_SUBDIVISIONS + 1, axis=-1)
-    ys = vec_fn(xs.reshape(-1)).reshape(xs.shape)
-    k = int(np.argmin(ys))
-    if ys.flat[k] < best_val:
-        best_t, best_val = float(xs.flat[k]), float(ys.flat[k])
-    dx = float((hi - lo).max()) / _REFINE_SUBDIVISIONS
-    mid = ys[:, 1:-1]
-    dips = ((mid <= ys[:, :-2]) & (mid <= ys[:, 2:])
-            & (mid - curvature * dx * dx / 8.0 < best_val))
-    rows, cols = np.nonzero(dips)
-    if rows.size:
-        ts, values = _golden_min_batch(vec_fn, xs[rows, cols], xs[rows, cols + 2])
-        k = int(np.argmin(values))
-        if values[k] < best_val:
-            best_t, best_val = float(ts[k]), float(values[k])
-    return best_t, best_val
+    while True:
+        width = hi - lo
+        live = ((np.minimum(f_lo, f_hi) - curvature * width * width / 8.0 < best_val - tol)
+                & (width > _GOLDEN_XTOL))
+        if not live.any():
+            return best_t, best_val
+        lo, hi, f_lo, f_hi = lo[live], hi[live], f_lo[live], f_hi[live]
+        mid = 0.5 * (lo + hi)
+        f_mid = vec_fn(mid)
+        k = int(np.argmin(f_mid))
+        if f_mid[k] < best_val:
+            best_t, best_val = float(mid[k]), float(f_mid[k])
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        f_lo, f_hi = np.concatenate((f_lo, f_mid)), np.concatenate((f_mid, f_hi))
 
 
 def scan_first_zero(vec_fn: Callable[[np.ndarray], np.ndarray],
@@ -360,21 +330,23 @@ def scan_first_zero(vec_fn: Callable[[np.ndarray], np.ndarray],
     """First t in (0, horizon] where a nonnegative oscillatory signal <= tol.
 
     ``vec_fn`` maps an array of times to signal values; ``bandwidth`` is the
-    largest angular frequency present and ``scale`` the signal's supremum
-    (by default the largest sample).  The signal is sampled at step
-    h <= scan_fraction * pi / bandwidth.  Candidate brackets, two steps wide,
-    are centered on the sampled local minima and on every sample low enough
-    that a zero could hide next to it.
+    largest angular frequency present and ``scale`` the signal's supremum.
+    The signal is sampled at step h <= scan_fraction * pi / bandwidth; by
+    default ``scale`` is the largest sample / (1 - bandwidth**2 * h**2 / 16),
+    which no peak between samples can exceed.  Candidate brackets, two steps
+    wide, are centered on the sampled local minima and on every sample low
+    enough that a zero could hide next to it.
 
-    By Bernstein's inequality |s''| <= bandwidth**2 * scale, so near any
-    minimum the signal lies at most margin = bandwidth**2 * scale * h**2 / 8
-    below its nearest sample.  Brackets whose lowest sample is at or below
-    ``accept_tol + margin`` may hold a zero: they are refined one at a time,
-    in time order, by a fine scan plus golden-section search, and the first
-    refined value at or below ``accept_tol`` is returned.  Every other bracket
-    can only lower the reported minimum: it is dropped when its lowest sample
-    minus the margin is not below the best value so far, and the rest are
-    refined together in one vectorized pass.
+    Bernstein's inequality applied to s - scale/2, which lies within
+    +-scale/2, gives |s''| <= curvature = bandwidth**2 * scale / 2, so the
+    signal lies at most margin = curvature * h**2 / 8 below its nearest
+    sample.  Brackets whose lowest sample is at or below
+    ``accept_tol + margin`` may hold a zero: they are searched one at a time,
+    in time order, by a fine scan plus golden-section search on the fine
+    minima that can still reach ``accept_tol``, and the first refined value
+    at or below it is returned.  When no zero is found, branch and bound over
+    the cells of all candidate brackets lowers the reported minimum to within
+    ``_MINIMUM_RTOL * scale`` of the signal's minimum on them.
     """
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise InvariantViolation(f"horizon must be positive and finite, got {horizon}")
@@ -394,15 +366,15 @@ def scan_first_zero(vec_fn: Callable[[np.ndarray], np.ndarray],
         )
     ts = np.linspace(0.0, horizon, count + 1)
     vals = vec_fn(ts)
-    if scale is None:
-        scale = max(float(vals[0]), float(vals.max()), 1e-300)
-    screen = 1.5 * (scan_fraction * math.pi / 2.0) ** 2 * scale
-    curvature = bandwidth * bandwidth * scale
     step = horizon / count
+    if scale is None:
+        # A peak lies within h/2 of a sample; with s' = 0 there and
+        # |s''| <= bandwidth**2 * sup / 2, that sample is at least
+        # sup * (1 - bandwidth**2 * h**2 / 16).
+        scale = max(float(vals.max()), 1e-300) / (1.0 - (bandwidth * step) ** 2 / 16.0)
+    screen = 1.5 * (scan_fraction * math.pi / 2.0) ** 2 * scale
+    curvature = bandwidth * bandwidth * scale / 2.0
     margin = curvature * step * step / 8.0
-
-    interior = int(np.argmin(vals[1:])) + 1
-    best_t, best_val = float(ts[interior]), float(vals[interior])
 
     inner = vals[1:count]
     dips = ((inner <= vals[:count - 1]) & (inner <= vals[2:])) | (inner <= screen)
@@ -414,11 +386,9 @@ def scan_first_zero(vec_fn: Callable[[np.ndarray], np.ndarray],
     zero_capable = lowest <= accept_tol + margin
 
     for i, j in zip(candidates[zero_capable], right[zero_capable]):
-        found, t, value, local_t, local_val = _refine_bracket(
-            vec_fn, float(ts[i - 1]), float(ts[j]), accept_tol
+        found, t, value = _refine_bracket(
+            vec_fn, float(ts[i - 1]), float(ts[j]), accept_tol, curvature
         )
-        if local_val < best_val:
-            best_t, best_val = local_t, local_val
         if found:
             return OrthogonalityResult(True, t, max(value, 0.0), t, horizon)
 
@@ -426,13 +396,16 @@ def scan_first_zero(vec_fn: Callable[[np.ndarray], np.ndarray],
     # its first acceptable time at the horizon itself.
     if vals[count] <= accept_tol:
         return OrthogonalityResult(True, horizon, float(vals[count]), horizon, horizon)
-    # The remaining brackets cannot reach accept_tol; refine those that
-    # could still hold a value below the best one so far.
-    deeper = ~zero_capable & (lowest - margin < best_val)
-    if deeper.any():
-        best_t, best_val = _lower_minimum(
-            vec_fn, ts[candidates[deeper] - 1], ts[right[deeper]], curvature, best_t, best_val
-        )
+    # Cells between samples, each once, by their left sample
+    cell = np.zeros(count, dtype=bool)
+    cell[candidates - 1] = True
+    cell[right - 1] = True
+    cells = np.flatnonzero(cell)
+    interior = int(np.argmin(vals[1:])) + 1
+    best_t, best_val = _lower_minimum(
+        vec_fn, ts[cells], ts[cells + 1], vals[cells], vals[cells + 1],
+        curvature, _MINIMUM_RTOL * scale, float(ts[interior]), float(vals[interior]),
+    )
     return OrthogonalityResult(False, None, max(best_val, 0.0), best_t, horizon)
 
 

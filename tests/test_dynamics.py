@@ -25,7 +25,7 @@ from qslsim import (
     survival,
 )
 from qslsim import dynamics
-from qslsim.dynamics import _EVAL_BUDGET, _golden_min, _golden_min_batch, _SurvivalSignal
+from qslsim.dynamics import _EVAL_BUDGET, _SurvivalSignal
 from conftest import random_density, random_pure, random_shifted_hamiltonian
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -295,15 +295,80 @@ class TestScanFirstZero:
         # only brackets of the last dip were refined one at a time
         assert refined and all(a > 6.0 * math.pi for a, _ in refined)
 
-    def test_batched_golden_matches_scalar(self):
-        fn = lambda ts: np.sin(3.0 * ts) + 0.2 * np.cos(7.0 * ts)
-        a = np.array([1.0, 2.5, 4.6, 5.9])
-        b = a + 0.3
-        xs, values = _golden_min_batch(fn, a, b)
-        for lo, hi, x, value in zip(a, b, xs, values):
-            ref_x, ref_value = _golden_min(lambda t: float(fn(np.array([t]))[0]), lo, hi)
-            assert x == pytest.approx(ref_x, abs=1e-9)
-            assert value == pytest.approx(ref_value, abs=1e-15)
+    def test_default_scale_covers_peak_between_samples(self):
+        # 1 + cos(t - pi/8) at step pi/4 peaks halfway between the first two
+        # samples and vanishes halfway between samples 4 and 5, at 9 pi/8.
+        # With the largest sample as its supremum the margin would be too
+        # small to admit that bracket.
+        fn = lambda ts: 1.0 + np.cos(ts - math.pi / 8.0)
+        horizon = 5.0 * math.pi
+        samples = fn(np.linspace(0.0, horizon, 21))
+        res = scan_first_zero(fn, horizon=horizon, bandwidth=1.0, accept_tol=1e-9)
+        assert res.found
+        assert res.t_perp == pytest.approx(9.0 * math.pi / 8.0, abs=1e-6)
+        undersized = scan_first_zero(fn, horizon=horizon, bandwidth=1.0, accept_tol=1e-9,
+                                     scale=float(samples.max()))
+        assert not undersized.found
+
+    def test_zero_capable_bracket_without_reachable_fine_minimum(self, monkeypatch):
+        # 0.5 (1 + cos t) + 0.01 has a sample on its minimum 0.01 at pi, within
+        # the coarse margin ~0.039 but far above the fine one ~4e-5: the
+        # bracket is scanned finely, but no golden section runs.
+        fn = lambda ts: 0.5 * (1.0 + np.cos(ts)) + 0.01
+        refined, golden = [], []
+        refine, golden_min = dynamics._refine_bracket, dynamics._golden_min
+
+        def refine_spy(*args):
+            refined.append(args[1:3])
+            return refine(*args)
+
+        def golden_spy(*args, **kwargs):
+            golden.append(args[1:3])
+            return golden_min(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_refine_bracket", refine_spy)
+        monkeypatch.setattr(dynamics, "_golden_min", golden_spy)
+        res = scan_first_zero(fn, horizon=2.0 * math.pi, bandwidth=1.0, accept_tol=1e-9,
+                              scale=1.01)
+        assert refined and not golden
+        assert not res.found
+        assert res.min_overlap == pytest.approx(0.01, abs=1e-13)
+        assert res.t_at_min == pytest.approx(math.pi, abs=1e-6)
+
+    @pytest.mark.parametrize("scan_fraction", [0.05, 0.25, 1.0])
+    def test_min_only_pass_matches_mpmath(self, scan_fraction):
+        # c + sum_k w_k cos(g_k t) with c = sum_k w_k + 0.05 never drops to
+        # 0.05.  Its minimum over the horizon: an mpmath root of s' from every
+        # minimum of a dense grid that lies near the grid's lowest value.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        rng = np.random.default_rng(2003)
+        for _ in range(4):
+            w = rng.uniform(0.1, 1.0, 6)
+            g = rng.uniform(0.3, 2.0, 6)
+            c = float(w.sum()) + 0.05
+            scale = c + float(w.sum())
+            fn = lambda ts: c + np.cos(np.multiply.outer(ts, g)) @ w
+            res = scan_first_zero(fn, horizon=40.0, bandwidth=float(g.max()), accept_tol=1e-9,
+                                  scan_fraction=scan_fraction, scale=scale)
+            assert not res.found
+
+            wm, gm = [mpmath.mpf(float(x)) for x in w], [mpmath.mpf(float(x)) for x in g]
+            s = lambda t: c + mpmath.fsum(a * mpmath.cos(b * t) for a, b in zip(wm, gm))
+            ds = lambda t: -mpmath.fsum(a * b * mpmath.sin(b * t) for a, b in zip(wm, gm))
+            grid = np.linspace(0.0, 40.0, 400_001)
+            ys = fn(grid)
+            dips = np.flatnonzero((ys[1:-1] <= ys[:-2]) & (ys[1:-1] <= ys[2:])) + 1
+            exact = min(s(mpmath.findroot(ds, float(grid[j])))
+                        for j in dips if ys[j] < ys.min() + 1e-6)
+            assert abs(res.min_overlap - float(exact)) <= 1e-13 * scale
+
+    def test_min_overlap_is_survival_at_t_at_min(self, rng):
+        for state in (random_density(rng, 6), random_pure(rng, 6)):
+            h = random_shifted_hamiltonian(rng, 6)
+            res = first_orthogonal_time(state, h, SearchOptions(horizon=20.0, scan_fraction=0.05))
+            assert not res.found
+            assert abs(survival(state, h, res.t_at_min) - res.min_overlap) <= 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
-"""The triaged, batched scan against a frozen copy of the sequential one.
+"""The triaged scan and its branch-and-bound minimum against a frozen sequential scan.
 
 ``reference_scan`` is the scan as it stood before bracket triage: every
 candidate bracket refined one at a time, in time order, by a fine scan and
 golden-section search.  It is kept here verbatim as the oracle and run on the
-same survival signal as ``first_orthogonal_time``, so the comparison isolates
-the scan (the signal is pinned against the direct sum over level pairs in
-``test_dynamics.py``).  The property test requires the same ``found``, the
-same first zero (to ``TIME_RESOLUTION`` for pure states, 1e-8 relative for
-density matrices, whose survival carries ~1e-16 round-off) and the same
-minimum to 1e-12 of the purity.
+same signal as ``first_orthogonal_time`` or ``collective_t_perp``, so the
+comparison isolates the scan (the survival signal is pinned against the
+direct sum over level pairs in ``test_dynamics.py``).  The property tests
+require the same ``found``, the same first zero (to ``TIME_RESOLUTION`` for
+pure states, 1e-8 relative for density matrices, whose survival carries
+~1e-16 round-off) and the same minimum to 1e-12 of the purity.  Full-rank
+density matrices never orthogonalize, so they exercise the minimum alone.
 """
 
 import math
@@ -18,17 +19,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qslsim import (
+    CollectiveSpec,
     DensityMatrix,
     Hamiltonian,
     PureState,
     SearchOptions,
     SubsystemLayout,
+    collective_overlap_fn,
+    collective_t_perp,
     energy_stats,
     first_orthogonal_time,
     ground_shift,
     qsl_time,
 )
-from qslsim.dynamics import HORIZON_MULTIPLIER, TIME_RESOLUTION, _SurvivalSignal
+from qslsim.dynamics import (
+    DEFAULT_SCAN_FRACTION,
+    HORIZON_MULTIPLIER,
+    TIME_RESOLUTION,
+    _SurvivalSignal,
+)
 from conftest import random_unitary
 
 MIXED_RELATIVE = 1e-8
@@ -160,6 +169,20 @@ def random_system(seed: int, dim: int, mixed: bool, commensurate: bool, rank: in
     return DensityMatrix(layout, 0.5 * (mat + mat.conj().T)), h
 
 
+def assert_same_answer(result, reference, purity, mixed_state):
+    found, t_perp, min_overlap, _ = reference
+    assert result.found == found
+    if found:
+        tol = MIXED_RELATIVE * t_perp if mixed_state else TIME_RESOLUTION
+        assert abs(result.t_perp - t_perp) <= tol
+    assert abs(result.min_overlap - min_overlap) <= 1e-12 * purity
+
+
+#: Scan fractions from the finest the tests use to the coarsest allowed,
+#: with the default among them.
+scan_fractions = st.one_of(st.just(0.05), st.just(DEFAULT_SCAN_FRACTION), st.floats(0.05, 1.0))
+
+
 class TestAgainstSequentialScan:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -169,7 +192,7 @@ class TestAgainstSequentialScan:
         commensurate=st.booleans(),
         rank_fraction=st.floats(0.0, 1.0),
         ortho_exponent=st.floats(-12.0, -6.0),
-        scan_fraction=st.floats(0.05, 1.0),
+        scan_fraction=scan_fractions,
     )
     def test_same_answer(self, seed, dim, mixed, commensurate, rank_fraction,
                          ortho_exponent, scan_fraction):
@@ -179,12 +202,45 @@ class TestAgainstSequentialScan:
         state, h = random_system(seed, dim, mixed, commensurate, rank)
         opts = SearchOptions(ortho_tol=10.0 ** ortho_exponent, scan_fraction=scan_fraction)
         result = first_orthogonal_time(state, h, opts)
-        found, t_perp, min_overlap, _ = reference_first_orthogonal_time(state, h, opts)
-
+        reference = reference_first_orthogonal_time(state, h, opts)
         mixed_state = isinstance(state, DensityMatrix)
         purity = float(np.vdot(state.matrix, state.matrix).real) if mixed_state else 1.0
-        assert result.found == found
-        if found:
-            tol = MIXED_RELATIVE * t_perp if mixed_state else TIME_RESOLUTION
-            assert abs(result.t_perp - t_perp) <= tol
-        assert abs(result.min_overlap - min_overlap) <= 1e-12 * purity
+        assert_same_answer(result, reference, purity, mixed_state)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 12),
+        scan_fraction=scan_fractions,
+    )
+    def test_same_minimum_on_full_rank_states(self, seed, dim, scan_fraction):
+        state, h = random_system(seed, dim, True, False, dim)
+        opts = SearchOptions(scan_fraction=scan_fraction)
+        result = first_orthogonal_time(state, h, opts)
+        reference = reference_first_orthogonal_time(state, h, opts)
+        purity = float(np.vdot(state.matrix, state.matrix).real)
+        assert_same_answer(result, reference, purity, True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        qubits=st.integers(1, 12),
+        omega0=st.floats(0.1, 2.0),
+        ratio=st.floats(0.0, 5.0),
+        amplitude_exponent=st.floats(-10.0, -4.0),
+        scan_fraction=scan_fractions,
+    )
+    def test_same_answer_on_collective_model(self, qubits, omega0, ratio,
+                                             amplitude_exponent, scan_fraction):
+        spec = CollectiveSpec(qubits, omega0, ratio * omega0)
+        amplitude_tol = 10.0 ** amplitude_exponent
+        result = collective_t_perp(spec, amplitude_tol=amplitude_tol,
+                                   scan_fraction=scan_fraction)
+        reference = reference_scan(
+            lambda ts: np.abs(collective_overlap_fn(spec, ts)) ** 2,
+            HORIZON_MULTIPLIER * spec.t_qsl,
+            2.0 * (spec.omega + spec.qubits * spec.omega0),
+            amplitude_tol ** 2,
+            scan_fraction,
+            1.0,
+        )
+        assert_same_answer(result, reference, 1.0, False)
