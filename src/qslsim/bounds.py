@@ -255,7 +255,6 @@ def analyze_ensemble_at_qsl(ensemble: SeparableEnsemble,
     if tol <= 0.0:
         raise InvariantViolation(f"tolerance must be positive, got {tol}")
     _check_locals(ensemble, local_hamiltonians)
-    from .dynamics import evolve  # deferred: dynamics imports this module
 
     stats = mixture_stats(ensemble, local_hamiltonians)
     bound = qsl_time(stats)
@@ -267,28 +266,24 @@ def analyze_ensemble_at_qsl(ensemble: SeparableEnsemble,
 
     weights = ensemble.weights
     terms = ensemble.terms
-    n_terms = len(terms)
     n_sites = len(terms[0])
-    evolved = [
-        [evolve(factor, local, t) for factor, local in zip(term, local_hamiltonians)]
-        for term in terms
-    ]
 
-    # chi[n][m][k] = Tr[rho_k^(n)(t) rho_k^(m)], computed raw so that the
-    # nonnegativity of every term is actually observable.
-    chi = np.empty((n_terms, n_terms, n_sites))
-    for n in range(n_terms):
-        for m in range(n_terms):
-            for k in range(n_sites):
-                value = float(np.real(np.einsum(
-                    "ij,ji->", evolved[n][k].matrix, terms[m][k].matrix
-                )))
-                if value < -CHI_NEGATIVITY_SLACK:
-                    raise NumericalFailure(
-                        f"overlap chi[{n},{m},{k}] = {value!r} is negative "
-                        "beyond numerical slack"
-                    )
-                chi[n, m, k] = value
+    # chi[n, m, k] = Tr[rho_k^(n)(t) rho_k^(m)] = sum_ab A_ab B_ba e^{-i(lam_a - lam_b)t},
+    # with A and B the two factors in the eigenbasis of local Hamiltonian k.
+    # Taken raw, so that the nonnegativity of every term is actually observable.
+    chi = np.empty((len(terms), len(terms), n_sites))
+    for k, local in enumerate(local_hamiltonians):
+        evals, evecs = local.eigensystem()
+        phases = np.exp(-1j * np.subtract.outer(evals, evals) * t)
+        rotated = np.array([evecs.conj().T @ term[k].matrix @ evecs for term in terms])
+        chi[:, :, k] = np.einsum("nab,ab,mba->nm", rotated, phases, rotated).real
+    negative = np.argwhere(chi < -CHI_NEGATIVITY_SLACK)
+    if len(negative):
+        n, m, k = negative[0]
+        raise NumericalFailure(
+            f"overlap chi[{n},{m},{k}] = {float(chi[n, m, k])!r} is negative "
+            "beyond numerical slack"
+        )
 
     products = chi.prod(axis=2)
     survival = float(np.einsum("n,m,nm->", weights, weights, products))

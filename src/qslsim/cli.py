@@ -1,6 +1,15 @@
 """Command-line experiment runner.
 
-Subcommands: bound, tperp, fig1, ent-scan, mixture-demo, groups.
+Subcommands: bound, tperp, fig1, ent-scan, mixture-demo, groups.  Each takes
+``--json``; the shared flags are declared only where they are read: ``--out``
+(fig1, ent-scan, mixture-demo), ``--svg`` (fig1), ``--horizon`` (tperp, fig1,
+mixture-demo, groups) and ``--tol`` (tperp, mixture-demo, groups).
+
+Every ``cmd_*`` computes a ``Report`` and does no I/O; ``main`` emits it.
+``--out`` receives the CSV.  With ``--json`` stdout is the one-line JSON
+envelope and nothing else; otherwise it is the text summary, followed by the
+CSV when there is no ``--out``.
+
 Exit codes: 0 success, 2 usage/config error, 3 data-invariant violation,
 4 numerical failure.  CSV output is deterministic: identical configuration
 produces a byte-identical file.
@@ -11,13 +20,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import svgplot
-from .bounds import analyze_ensemble_at_qsl, mixture_stats, qsl_time
+from .bounds import analyze_ensemble_at_qsl, mixture_stats, qsl_time, separable_pure_bound
 from .constructions import (
     CollectiveSpec,
     EntangledChainSpec,
@@ -51,21 +62,50 @@ RATIO_FLOOR = 1.0 - 1e-9
 MAX_GRID_POINTS = 100_000
 
 
+@dataclass(frozen=True)
+class Report:
+    """A subcommand's result: the JSON payload, the text summary, the CSV and
+    (fig1 with ``--svg``) the SVG document."""
+
+    payload: dict
+    text: str = ""
+    csv: Optional[str] = None
+    svg: Optional[str] = None
+
+
+class _UsageError(Exception):
+    """Bad command-line input; ``main`` prints "<command>: <reason>" and exits 2."""
+
+
 def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    # Build-then-write: a failed computation never leaves a partial file.
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+def _csv(header: str, rows) -> str:
+    """CSV text: integers as written, floats to 12 significant digits, None empty."""
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        return str(value) if isinstance(value, int) else _fmt(value)
+
+    lines = [header] + [",".join(map(cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def _print_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload) + "\n")
+def _ratio(t_perp: Optional[float], t_qsl: float, where: str) -> Optional[float]:
+    """t_perp / t_qsl, or None without a measured time or a finite bound.
+
+    A ratio below ``RATIO_FLOOR`` puts the measured time inside the region
+    the bound forbids, which only a numerical failure can do.
+    """
+    if t_perp is None or math.isinf(t_qsl):
+        return None
+    ratio = t_perp / t_qsl
+    if ratio < RATIO_FLOOR:
+        raise NumericalFailure(
+            f"{where}: measured t_perp {t_perp!r} undercuts the bound {t_qsl!r}"
+        )
+    return ratio
 
 
 def _int_list(raw: str) -> list[int]:
@@ -83,155 +123,107 @@ def _int_list(raw: str) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_bound(args) -> int:
+def cmd_bound(args) -> Report:
     if args.energy < 0.0 or args.spread < 0.0:
-        sys.stderr.write("bound: --energy and --spread must be nonnegative\n")
-        return 2
+        raise _UsageError("--energy and --spread must be nonnegative")
     result = qsl_time(EnergyStats(args.energy, args.spread))
-    if args.json:
-        _print_json({
-            "command": "bound",
-            "time": None if result.unbounded else result.time,
-            "unbounded": result.unbounded,
-            "branch": result.branch.value,
-        })
-    elif result.unbounded:
-        sys.stdout.write(f"unbounded branch={result.branch.value}\n")
+    branch = result.branch.value
+    if result.unbounded:
+        text = f"unbounded branch={branch}\n"
     else:
-        sys.stdout.write(f"t_qsl={_fmt(result.time)} branch={result.branch.value}\n")
-    return 0
+        text = f"t_qsl={_fmt(result.time)} branch={branch}\n"
+    time = None if result.unbounded else result.time
+    return Report({"time": time, "unbounded": result.unbounded, "branch": branch}, text)
 
 
-def cmd_tperp(args) -> int:
-    state, hamiltonian = load_system(args.state_file)
+def cmd_tperp(args) -> Report:
+    try:
+        state, hamiltonian = load_system(args.state_file)
+    except OSError as exc:
+        raise _UsageError(f"cannot read {args.state_file}: {exc.strerror}") from None
+    text = ""
     shift = 0.0
     if not hamiltonian.is_ground_shifted:
         shift = hamiltonian.ground_energy
         hamiltonian = ground_shift(hamiltonian)
-        if not args.json:
-            sys.stdout.write(f"ground_shift={_fmt(-shift)} applied\n")
-    opts = SearchOptions(
-        horizon=args.horizon,
-        ortho_tol=args.tol if args.tol is not None else DEFAULT_ORTHO_TOL,
-    )
+        text = f"ground_shift={_fmt(-shift)} applied\n"
+    opts = SearchOptions(horizon=args.horizon, ortho_tol=args.tol)
     result = first_orthogonal_time(state, hamiltonian, opts)
     bound = qsl_time(energy_stats(state, hamiltonian))
+    ratio = _ratio(result.t_perp, bound.time, args.state_file)
 
-    ratio = None
-    if result.found and not bound.unbounded:
-        ratio = result.t_perp / bound.time
-        if ratio < RATIO_FLOOR:
-            raise NumericalFailure(
-                f"measured t_perp {result.t_perp!r} undercuts the bound {bound.time!r}"
-            )
-    if args.json:
-        _print_json({
-            "command": "tperp",
-            "status": result.status,
-            "t_perp": result.t_perp,
-            "t_qsl": None if bound.unbounded else bound.time,
-            "ratio": ratio,
-            "min_overlap": result.min_overlap,
-            "t_at_min": result.t_at_min,
-            "horizon": result.horizon,
-            "ground_shift_applied": -shift,
-        })
-    elif result.found:
+    if result.found:
         bound_txt = "unbounded" if bound.unbounded else _fmt(bound.time)
         ratio_txt = "n/a" if ratio is None else f"{ratio:.6f}"
-        sys.stdout.write(
-            f"Found t_perp={_fmt(result.t_perp)} bound={bound_txt} ratio={ratio_txt}\n"
-        )
+        text += f"Found t_perp={_fmt(result.t_perp)} bound={bound_txt} ratio={ratio_txt}\n"
     else:
-        sys.stdout.write(
-            f"NotFound min_overlap={_fmt(result.min_overlap)} "
-            f"t_at_min={_fmt(result.t_at_min)} horizon={_fmt(result.horizon)}\n"
-        )
-    return 0
+        text += (f"NotFound min_overlap={_fmt(result.min_overlap)} "
+                 f"t_at_min={_fmt(result.t_at_min)} horizon={_fmt(result.horizon)}\n")
+    return Report({
+        "status": result.status,
+        "t_perp": result.t_perp,
+        "t_qsl": None if bound.unbounded else bound.time,
+        "ratio": ratio,
+        "min_overlap": result.min_overlap,
+        "t_at_min": result.t_at_min,
+        "horizon": result.horizon,
+        "ground_shift_applied": -shift,
+    }, text)
 
 
 def _fig1_grid(start: float, stop: float, step: float) -> list[float]:
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise _UsageError("grid start, stop and step must be finite")
     if step <= 0.0:
-        raise InvariantViolation(f"grid step must be positive, got {step}")
+        raise _UsageError(f"grid step must be positive, got {step}")
     if start > stop:
-        raise InvariantViolation(f"grid start {start} exceeds stop {stop}")
+        raise _UsageError(f"grid start {start} exceeds stop {stop}")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
     if count > MAX_GRID_POINTS:
-        raise InvariantViolation(f"grid has {count} points (max {MAX_GRID_POINTS})")
+        raise _UsageError(f"grid has {count} points (max {MAX_GRID_POINTS})")
     return [start + i * step for i in range(count)]
 
 
-def cmd_fig1(args) -> int:
-    try:
-        grid = _fig1_grid(args.start, args.stop, args.step)
-    except InvariantViolation as exc:
-        sys.stderr.write(f"fig1: {exc}\n")
-        return 2
+def cmd_fig1(args) -> Report:
+    grid = _fig1_grid(args.start, args.stop, args.step)
     if args.qubits < 1 or args.omega0 <= 0.0:
-        sys.stderr.write("fig1: --qubits must be >= 1 and --omega0 positive\n")
-        return 2
+        raise _UsageError("--qubits must be >= 1 and --omega0 positive")
 
-    rows = []
-    for ratio in grid:
-        spec = CollectiveSpec(args.qubits, args.omega0, ratio * args.omega0)
-        result = collective_t_perp(spec, horizon=args.horizon)
-        rows.append((ratio, result.t_perp if result.found else None, spec.t_qsl))
+    points = [(r, CollectiveSpec(args.qubits, args.omega0, r * args.omega0)) for r in grid]
     if args.limit:
-        spec = CollectiveSpec(args.qubits, 0.0, 1.0)
+        points.append((math.inf, CollectiveSpec(args.qubits, 0.0, 1.0)))
+    rows = []
+    for r, spec in points:
         result = collective_t_perp(spec, horizon=args.horizon)
-        rows.append((math.inf, result.t_perp if result.found else None, spec.t_qsl))
+        t_perp = result.t_perp if result.found else None
+        ratio = _ratio(t_perp, spec.t_qsl, f"row omega_ratio={r!r}")
+        rows.append((r, t_perp, spec.t_qsl, ratio))
 
-    for ratio, t_perp, t_qsl in rows:
-        if t_perp is not None and t_perp / t_qsl < RATIO_FLOOR:
-            raise NumericalFailure(
-                f"row omega_ratio={ratio!r}: measured t_perp {t_perp!r} is inside "
-                f"the forbidden region below {t_qsl!r}"
-            )
-
-    lines = ["omega_ratio,t_perp,t_qsl,ratio"]
-    for ratio, t_perp, t_qsl in rows:
-        if t_perp is None:
-            lines.append(f"{_fmt(ratio)},,{_fmt(t_qsl)},")
-        else:
-            lines.append(
-                f"{_fmt(ratio)},{_fmt(t_perp)},{_fmt(t_qsl)},{_fmt(t_perp / t_qsl)}"
-            )
-    csv_text = "\n".join(lines) + "\n"
-    _emit(csv_text, args.out)
-    if args.svg is not None:
-        with open(args.svg, "w", encoding="utf-8", newline="") as fh:
-            fh.write(svgplot.sweep_svg(rows))
-    if args.json:
-        _print_json({
-            "command": "fig1",
-            "rows": [
-                {"omega_ratio": r, "t_perp": tp, "t_qsl": tq,
-                 "ratio": None if tp is None else tp / tq}
-                for r, tp, tq in rows
-            ],
+    return Report(
+        {
+            "rows": [{"omega_ratio": r, "t_perp": tp, "t_qsl": tq, "ratio": ratio}
+                     for r, tp, tq, ratio in rows],
             "out": args.out,
             "svg": args.svg,
-        })
-    return 0
+        },
+        csv=_csv("omega_ratio,t_perp,t_qsl,ratio", rows),
+        svg=None if args.svg is None else svgplot.sweep_svg([row[:3] for row in rows]),
+    )
 
 
-def cmd_ent_scan(args) -> int:
+def cmd_ent_scan(args) -> Report:
     if args.omega0 <= 0.0:
-        sys.stderr.write("ent-scan: --omega0 must be positive\n")
-        return 2
+        raise _UsageError("--omega0 must be positive")
     w0 = args.omega0
     rows = []
     for n in args.levels:
         for m in args.subsystems:
             spec = EntangledChainSpec(n, m, w0)
             t_analytic = 2.0 * math.pi / (n * m * w0)
-            local_energy = w0 * (n - 1) / 2.0
-            local_spread = w0 * math.sqrt(n * n - 1.0) / (2.0 * math.sqrt(3.0))
-            sep_bound = max(
-                math.pi / (2.0 * local_energy), math.pi / (2.0 * local_spread)
-            )
-            aggregate = EnergyStats(m * local_energy, m * local_spread)
-            t_bound = qsl_time(aggregate).time
+            local = EnergyStats(w0 * (n - 1) / 2.0,
+                                w0 * math.sqrt(n * n - 1.0) / (2.0 * math.sqrt(3.0)))
+            sep_bound = separable_pure_bound([local] * m)
+            t_bound = qsl_time(EnergyStats(m * local.energy, m * local.spread)).time
             if spec.total_dim <= args.cap and not args.no_verify:
                 state, hamiltonian, _ = make_psi_ent(spec, cap=args.cap)
                 result = first_orthogonal_time(state, hamiltonian)
@@ -247,37 +239,31 @@ def cmd_ent_scan(args) -> int:
                 )
             rows.append((n, m, t_analytic, sep_bound, t_bound))
 
-    lines = ["N,M,t_perp_entangled,separable_bound,qsl_time"]
-    for n, m, t_perp, sep_bound, t_bound in rows:
-        lines.append(f"{n},{m},{_fmt(t_perp)},{_fmt(sep_bound)},{_fmt(t_bound)}")
-    _emit("\n".join(lines) + "\n", args.out)
-    if args.json:
-        _print_json({
-            "command": "ent-scan",
-            "rows": [
-                {"N": n, "M": m, "t_perp_entangled": tp,
-                 "separable_bound": sb, "qsl_time": tb}
-                for n, m, tp, sb, tb in rows
-            ],
+    return Report(
+        {
+            "rows": [{"N": n, "M": m, "t_perp_entangled": tp,
+                      "separable_bound": sb, "qsl_time": tb}
+                     for n, m, tp, sb, tb in rows],
             "out": args.out,
-        })
-    return 0
+        },
+        csv=_csv("N,M,t_perp_entangled,separable_bound,qsl_time", rows),
+    )
 
 
-def cmd_mixture_demo(args) -> int:
+def cmd_mixture_demo(args) -> Report:
     if args.omega <= 0.0:
-        sys.stderr.write("mixture-demo: --omega must be positive\n")
-        return 2
+        raise _UsageError("--omega must be positive")
+    if args.samples < 0:
+        raise _UsageError("--samples must be nonnegative")
     omega = args.omega
     ensemble, locals_ = make_mixture_demo(omega)
-    tol = args.tol if args.tol is not None else DEFAULT_ORTHO_TOL
-    analysis = analyze_ensemble_at_qsl(ensemble, locals_, tol=tol)
+    analysis = analyze_ensemble_at_qsl(ensemble, locals_, tol=args.tol)
     bound = qsl_time(mixture_stats(ensemble, locals_))
 
     rho = ensemble.assemble()
     hamiltonian = noninteracting_hamiltonian(list(locals_))
     result = first_orthogonal_time(
-        rho, hamiltonian, SearchOptions(horizon=args.horizon, ortho_tol=tol)
+        rho, hamiltonian, SearchOptions(horizon=args.horizon, ortho_tol=args.tol)
     )
     if not result.found or abs(result.t_perp - bound.time) > 1e-8 * bound.time:
         raise NumericalFailure(
@@ -285,18 +271,17 @@ def cmd_mixture_demo(args) -> int:
         )
 
     # survival curve over one full revival period, normalized to 1 at t = 0
-    samples = args.samples
-    ts = np.linspace(0.0, 2.0 * math.pi / omega, samples)
-    purity = state_overlap(rho, rho)
-    values = survival(rho, hamiltonian, ts) / purity
-    curve_lines = ["t,survival"]
-    for t, v in zip(ts, values):
-        curve_lines.append(f"{_fmt(t)},{_fmt(v)}")
-    curve = "\n".join(curve_lines) + "\n"
+    ts = np.linspace(0.0, 2.0 * math.pi / omega, args.samples)
+    values = survival(rho, hamiltonian, ts) / state_overlap(rho, rho)
 
-    if args.json:
-        _print_json({
-            "command": "mixture-demo",
+    lines = [f"verdict={analysis.verdict}"]
+    for i, term in enumerate(analysis.terms):
+        stat = ",".join(str(k) for k in term.stationary) or "-"
+        bt = "n/a" if term.bound_time is None else _fmt(term.bound_time)
+        lines.append(f"term {i}: evolving={term.evolving} stationary={stat} bound={bt}")
+    lines.append(f"t_perp={_fmt(result.t_perp)} t_qsl={_fmt(bound.time)}")
+    return Report(
+        {
             "verdict": analysis.verdict,
             "terms": [
                 {"evolving": r.evolving, "stationary": list(r.stationary),
@@ -306,21 +291,10 @@ def cmd_mixture_demo(args) -> int:
             "t_perp": result.t_perp,
             "t_qsl": bound.time,
             "out": args.out,
-        })
-    else:
-        sys.stdout.write(f"verdict={analysis.verdict}\n")
-        for i, report in enumerate(analysis.terms):
-            stat = ",".join(str(k) for k in report.stationary) or "-"
-            bt = "n/a" if report.bound_time is None else _fmt(report.bound_time)
-            sys.stdout.write(
-                f"term {i}: evolving={report.evolving} stationary={stat} bound={bt}\n"
-            )
-        sys.stdout.write(f"t_perp={_fmt(result.t_perp)} t_qsl={_fmt(bound.time)}\n")
-    if args.out is not None:
-        _emit(curve, args.out)
-    elif not args.json:
-        sys.stdout.write(curve)
-    return 0
+        },
+        "\n".join(lines) + "\n",
+        csv=_csv("t,survival", zip(ts, values)),
+    )
 
 
 def _in_first_valley(groups: int, group: CollectiveSpec, times: Sequence[float],
@@ -344,16 +318,12 @@ def _in_first_valley(groups: int, group: CollectiveSpec, times: Sequence[float],
     return bool(np.all(product(ts) <= tol * (1.0 + 1e-6)))
 
 
-def cmd_groups(args) -> int:
+def cmd_groups(args) -> Report:
     if args.groups < 1 or args.per_group < 1:
-        sys.stderr.write("groups: --groups and --per-group must be >= 1\n")
-        return 2
+        raise _UsageError("--groups and --per-group must be >= 1")
     total = args.groups * args.per_group
     if 2 ** total > args.cap:
-        sys.stderr.write(
-            f"groups: dimension 2^{total} exceeds the dense cap {args.cap}\n"
-        )
-        return 2
+        raise _UsageError(f"dimension 2^{total} exceeds the dense cap {args.cap}")
     state, hamiltonian = make_grouped(
         args.groups, args.per_group, args.omega0, args.omega, cap=args.cap
     )
@@ -362,89 +332,81 @@ def cmd_groups(args) -> int:
     )
     if result.found and not args.no_verify:
         # cross-check against the assembled matrix at the scalar path's own
-        # threshold (survival 1e-20).  A flat product zero has a wide valley
-        # below that threshold, anywhere in which the matrix solver may stop,
-        # so both answers only have to lie in the first such valley.
-        tol = args.tol if args.tol is not None else 1e-20
-        opts = SearchOptions(horizon=args.horizon, ortho_tol=tol)
+        # threshold (survival 1e-20 by default).  A flat product zero has a
+        # wide valley below that threshold, anywhere in which the matrix
+        # solver may stop, so both answers only have to lie in the first
+        # such valley.
+        opts = SearchOptions(horizon=args.horizon, ortho_tol=args.tol)
         full = first_orthogonal_time(state, hamiltonian, opts)
         group = CollectiveSpec(args.per_group, args.omega0, args.omega)
         if not full.found or not _in_first_valley(
-            args.groups, group, (full.t_perp, result.t_perp), tol
+            args.groups, group, (full.t_perp, result.t_perp), args.tol
         ):
             raise NumericalFailure(
                 f"group-factorized t_perp {result.t_perp!r} and the full-matrix value "
                 f"{full.t_perp if full.found else None!r} are not both in the first "
-                f"interval where the survival is at or below {tol!r}"
+                f"interval where the survival is at or below {args.tol!r}"
             )
     bound = qsl_time(energy_stats(state, hamiltonian))
     expected = math.sqrt(total / args.per_group)
-    ratio = None
-    if result.found and not bound.unbounded:
-        ratio = result.t_perp / bound.time
-        if ratio < RATIO_FLOOR:
-            raise NumericalFailure(
-                f"measured ratio {ratio!r} is below the universal floor"
-            )
-    if args.json:
-        _print_json({
-            "command": "groups",
-            "status": result.status,
-            "t_perp": result.t_perp,
-            "t_qsl": None if bound.unbounded else bound.time,
-            "ratio": ratio,
-            "sqrt_m_over_q": expected,
-        })
-    elif result.found:
-        sys.stdout.write(
-            f"t_perp={_fmt(result.t_perp)} t_qsl={_fmt(bound.time)} "
-            f"ratio={_fmt(ratio)} sqrt_m_over_q={_fmt(expected)}\n"
-        )
+    ratio = _ratio(result.t_perp, bound.time,
+                   f"{args.groups} groups of {args.per_group}")
+    if result.found:
+        text = (f"t_perp={_fmt(result.t_perp)} t_qsl={_fmt(bound.time)} "
+                f"ratio={_fmt(ratio)} sqrt_m_over_q={_fmt(expected)}\n")
     else:
-        sys.stdout.write(
-            f"NotFound min_overlap={_fmt(result.min_overlap)} "
-            f"horizon={_fmt(result.horizon)} sqrt_m_over_q={_fmt(expected)}\n"
-        )
-    return 0
+        text = (f"NotFound min_overlap={_fmt(result.min_overlap)} "
+                f"horizon={_fmt(result.horizon)} sqrt_m_over_q={_fmt(expected)}\n")
+    return Report({
+        "status": result.status,
+        "t_perp": result.t_perp,
+        "t_qsl": None if bound.unbounded else bound.time,
+        "ratio": ratio,
+        "sqrt_m_over_q": expected,
+    }, text)
 
 
 # ---------------------------------------------------------------------------
-# parser and dispatch
+# parser and emitter
 # ---------------------------------------------------------------------------
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", metavar="PATH", default=None,
-                        help="write CSV output to this path instead of stdout")
-    common.add_argument("--svg", metavar="PATH", default=None,
-                        help="also render an SVG plot (fig1 only)")
-    common.add_argument("--horizon", type=float, default=None,
-                        help="search horizon (default: 20x the speed limit time)")
-    common.add_argument("--tol", type=float, default=None,
-                        help="orthogonality tolerance on the survival value")
-    common.add_argument("--json", action="store_true",
-                        help="emit a machine-readable JSON result envelope")
-
     parser = argparse.ArgumentParser(
         prog="qsl",
         description="Quantum speed limit bounds and first-orthogonality times.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bound", parents=[common],
-                       help="evaluate the speed limit time for given stats")
+    def command(name, func, help, out=False, svg=False, horizon=False, tol=None):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func, out=None, svg=None)
+        if out:
+            p.add_argument("--out", metavar="PATH",
+                           help="write the CSV to this path instead of stdout")
+        if svg:
+            p.add_argument("--svg", metavar="PATH", help="also render an SVG plot")
+        if horizon:
+            p.add_argument("--horizon", type=float, default=None,
+                           help="search horizon (default: 20x the speed limit time)")
+        if tol is not None:
+            p.add_argument("--tol", type=float, default=tol,
+                           help="orthogonality tolerance on the survival value "
+                                "(default: %(default)g)")
+        p.add_argument("--json", action="store_true",
+                       help="print only the one-line JSON result envelope")
+        return p
+
+    p = command("bound", cmd_bound, "evaluate the speed limit time for given stats")
     p.add_argument("--energy", type=float, required=True)
     p.add_argument("--spread", type=float, required=True)
-    p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("tperp", parents=[common],
-                       help="first orthogonality time of a JSON system")
+    p = command("tperp", cmd_tperp, "first orthogonality time of a JSON system",
+                horizon=True, tol=DEFAULT_ORTHO_TOL)
     p.add_argument("state_file", help="JSON file with dims, amplitudes|matrix, hamiltonian")
-    p.set_defaults(func=cmd_tperp)
 
-    p = sub.add_parser("fig1", parents=[common],
-                       help="sweep the collective model over omega/omega0")
+    p = command("fig1", cmd_fig1, "sweep the collective model over omega/omega0",
+                out=True, svg=True, horizon=True)
     p.add_argument("--qubits", type=int, default=9)
     p.add_argument("--omega0", type=float, default=1.0)
     p.add_argument("--start", type=float, default=0.0)
@@ -452,35 +414,52 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=0.25)
     p.add_argument("--limit", action="store_true",
                    help="append the omega0=0 limit row (labeled inf)")
-    p.set_defaults(func=cmd_fig1)
 
-    p = sub.add_parser("ent-scan", parents=[common],
-                       help="entangled-chain speedup table over (N, M)")
+    p = command("ent-scan", cmd_ent_scan, "entangled-chain speedup table over (N, M)",
+                out=True)
     p.add_argument("--levels", type=_int_list, default=[2, 3, 5])
     p.add_argument("--subsystems", type=_int_list, default=[2, 3, 4])
     p.add_argument("--omega0", type=float, default=1.0)
     p.add_argument("--cap", type=int, default=1024,
                    help="verify numerically only when N^M is at most this")
     p.add_argument("--no-verify", action="store_true")
-    p.set_defaults(func=cmd_ent_scan)
 
-    p = sub.add_parser("mixture-demo", parents=[common],
-                       help="bound-saturating classical mixture walkthrough")
+    p = command("mixture-demo", cmd_mixture_demo,
+                "bound-saturating classical mixture walkthrough",
+                out=True, horizon=True, tol=DEFAULT_ORTHO_TOL)
     p.add_argument("--omega", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=201)
-    p.set_defaults(func=cmd_mixture_demo)
 
-    p = sub.add_parser("groups", parents=[common],
-                       help="grouped collective model vs sqrt(M/Q)")
+    p = command("groups", cmd_groups, "grouped collective model vs sqrt(M/Q)",
+                horizon=True, tol=1e-20)
     p.add_argument("--groups", type=int, required=True)
     p.add_argument("--per-group", type=int, required=True)
     p.add_argument("--omega0", type=float, default=1.0)
     p.add_argument("--omega", type=float, default=0.0)
     p.add_argument("--cap", type=int, default=4096)
     p.add_argument("--no-verify", action="store_true")
-    p.set_defaults(func=cmd_groups)
 
     return parser
+
+
+def _write_files(files: Sequence[tuple[Optional[str], Optional[str]]]) -> None:
+    """Write each (path, text) whose path is given.
+
+    If one cannot be written, the files this call wrote are removed again,
+    so a failed command leaves none of its output behind.
+    """
+    written = []
+    for path, text in files:
+        if path is None:
+            continue
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                written.append(path)
+                fh.write(text)
+        except OSError as exc:
+            for done in written:
+                os.remove(done)
+            raise _UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -490,7 +469,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
     try:
-        return args.func(args)
+        report = args.func(args)
+        _write_files([(args.out, report.csv), (args.svg, report.svg)])
+    except _UsageError as exc:
+        sys.stderr.write(f"{args.command}: {exc}\n")
+        return 2
     except SchemaError as exc:
         sys.stderr.write(f"schema error: {exc}\n")
         return 2
@@ -500,6 +483,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except NumericalFailure as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 4
+    if args.json:
+        sys.stdout.write(json.dumps({"command": args.command, **report.payload}) + "\n")
+    elif args.out is None and report.csv is not None:
+        sys.stdout.write(report.text + report.csv)
+    else:
+        sys.stdout.write(report.text)
+    return 0
 
 
 if __name__ == "__main__":

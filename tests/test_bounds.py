@@ -1,12 +1,16 @@
 """Tests for the speed-limit bound family and the ensemble structure analysis."""
 
+import ast
+import graphlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qslsim
 from qslsim import (
     Branch,
     DensityMatrix,
@@ -462,3 +466,41 @@ class TestAnalyzeEnsemble:
         ens, locals_ = make_mixture_demo(1.0)
         with pytest.raises(InvariantViolation, match="tolerance"):
             analyze_ensemble_at_qsl(ens, list(locals_), tol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# package structure
+# ---------------------------------------------------------------------------
+
+
+def package_import_graph() -> dict[str, set[str]]:
+    """Module -> sibling modules it imports, at module or function level."""
+    package = Path(qslsim.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+
+    def target(dotted: str) -> str:
+        return dotted if dotted in modules else "__init__"
+
+    graph = {}
+    for path in package.glob("*.py"):
+        edges = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                if node.level == 0 and not (node.module or "").startswith("qslsim"):
+                    continue
+                if node.level == 0 and node.module == "qslsim" or node.module is None:
+                    edges |= {target(alias.name) for alias in node.names}
+                else:
+                    edges.add(target(node.module.removeprefix("qslsim.")))
+            elif isinstance(node, ast.Import):
+                edges |= {target(alias.name.removeprefix("qslsim."))
+                          for alias in node.names if alias.name.startswith("qslsim.")}
+        graph[path.stem] = edges - {path.stem}
+    return graph
+
+
+def test_package_import_graph_is_acyclic():
+    graph = package_import_graph()
+    assert "dynamics" in graph["constructions"]  # the walk sees relative imports
+    list(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError
+    assert graph["bounds"] == {"qcore"}

@@ -467,3 +467,139 @@ class TestTopLevel:
         captured = capsys.readouterr()
         assert code == 4
         assert "numerical failure" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# one report path: flags, JSON envelopes, failures
+# ---------------------------------------------------------------------------
+
+
+JSON_KEYS = {
+    "bound": {"command", "time", "unbounded", "branch"},
+    "tperp": {"command", "status", "t_perp", "t_qsl", "ratio", "min_overlap", "t_at_min",
+              "horizon", "ground_shift_applied"},
+    "fig1": {"command", "rows", "out", "svg"},
+    "ent-scan": {"command", "rows", "out"},
+    "mixture-demo": {"command", "verdict", "terms", "t_perp", "t_qsl", "out"},
+    "groups": {"command", "status", "t_perp", "t_qsl", "ratio", "sqrt_m_over_q"},
+}
+
+
+def small_argv(command, tmp_path):
+    """A quick invocation of each subcommand."""
+    qubit = tmp_path / "qubit.json"
+    write_saturating_qubit(qubit)
+    return {
+        "bound": ["bound", "--energy", "1", "--spread", "2"],
+        "tperp": ["tperp", str(qubit)],
+        "fig1": ["fig1", "--qubits", "3", "--stop", "1", "--step", "0.5"],
+        "ent-scan": ["ent-scan", "--levels", "2", "--subsystems", "1,2"],
+        "mixture-demo": ["mixture-demo", "--samples", "5"],
+        "groups": ["groups", "--groups", "2", "--per-group", "1"],
+    }[command]
+
+
+class TestReportPath:
+    @pytest.mark.parametrize("command", sorted(JSON_KEYS))
+    def test_json_stdout_is_one_envelope_line(self, capsys, tmp_path, command):
+        code, out, err = run(capsys, *small_argv(command, tmp_path), "--json")
+        assert code == 0 and err == ""
+        assert out.endswith("\n") and out.count("\n") == 1
+        payload = json.loads(out)
+        assert payload["command"] == command
+        assert set(payload) == JSON_KEYS[command]
+
+    @pytest.mark.parametrize("command", sorted(JSON_KEYS))
+    def test_subcommands_compute_without_io(self, capsys, tmp_path, command):
+        import qslsim.cli as cli_module
+
+        args = cli_module._build_parser().parse_args(small_argv(command, tmp_path))
+        report = args.func(args)
+        assert capsys.readouterr() == ("", "")
+        assert isinstance(report, cli_module.Report)
+        assert set(report.payload) | {"command"} == JSON_KEYS[command]
+
+    @pytest.mark.parametrize("command", ["fig1", "ent-scan", "mixture-demo"])
+    def test_json_with_out_writes_the_text_mode_csv(self, capsys, tmp_path, command):
+        argv = small_argv(command, tmp_path)
+        code, text_out, _ = run(capsys, *argv)
+        assert code == 0
+        path = tmp_path / "out.csv"
+        code, out, _ = run(capsys, *argv, "--json", "--out", str(path))
+        assert code == 0
+        assert json.loads(out)["out"] == str(path)
+        assert text_out.endswith(path.read_text())
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--energy", "1", "--spread", "1", "--out", "FILE"],
+        ["bound", "--energy", "1", "--spread", "1", "--svg", "FILE"],
+        ["bound", "--energy", "1", "--spread", "1", "--horizon", "1"],
+        ["bound", "--energy", "1", "--spread", "1", "--tol", "1e-3"],
+        ["tperp", "QUBIT", "--out", "FILE"],
+        ["tperp", "QUBIT", "--svg", "FILE"],
+        ["fig1", "--qubits", "3", "--stop", "1", "--tol", "1e-3"],
+        ["ent-scan", "--levels", "2", "--subsystems", "2", "--svg", "FILE"],
+        ["ent-scan", "--levels", "2", "--subsystems", "2", "--horizon", "1"],
+        ["ent-scan", "--tol", "1e-3"],
+        ["mixture-demo", "--svg", "FILE"],
+        ["groups", "--groups", "2", "--per-group", "1", "--out", "FILE"],
+        ["groups", "--groups", "2", "--per-group", "1", "--svg", "FILE"],
+    ])
+    def test_flags_a_subcommand_does_not_read_exit_2(self, capsys, tmp_path, argv):
+        qubit = tmp_path / "qubit.json"
+        write_saturating_qubit(qubit)
+        target = tmp_path / "x"
+        argv = [{"FILE": str(target), "QUBIT": str(qubit)}.get(a, a) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["fig1", "--out", "MISSING/x.csv"],
+        ["fig1", "--svg", "MISSING/x.svg"],
+        ["mixture-demo", "--out", "MISSING/x.csv"],
+        ["tperp", "MISSING.json"],
+        ["tperp", "DIR"],
+        ["fig1", "--step", "nan"],
+        ["fig1", "--stop", "inf"],
+        ["mixture-demo", "--samples", "-5"],
+    ])
+    def test_former_tracebacks_exit_2(self, capsys, tmp_path, argv):
+        argv = [a.replace("MISSING", str(tmp_path / "missing")).replace("DIR", str(tmp_path))
+                for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"{argv[0]}: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_svg_write_removes_the_csv(self, capsys, tmp_path):
+        csv = tmp_path / "sweep.csv"
+        code, out, err = run(capsys, "fig1", "--qubits", "3", "--stop", "1",
+                             "--out", str(csv), "--svg", str(tmp_path / "missing" / "x.svg"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("fig1: cannot write ")
+        assert not csv.exists()
+
+    @pytest.mark.parametrize("target, argv", [
+        ("first_orthogonal_time", ["tperp", "QUBIT"]),
+        ("collective_t_perp", ["fig1", "--qubits", "3", "--stop", "1"]),
+        ("grouped_t_perp", ["groups", "--groups", "2", "--per-group", "1", "--no-verify"]),
+    ])
+    def test_ratio_floor_exit_4(self, capsys, tmp_path, monkeypatch, target, argv):
+        import qslsim.cli as cli_module
+
+        def too_early(*args, **kwargs):
+            return OrthogonalityResult(True, 0.1, 0.0, 0.1, 10.0)
+
+        monkeypatch.setattr(cli_module, target, too_early)
+        qubit = tmp_path / "qubit.json"
+        write_saturating_qubit(qubit)
+        code, out, err = run(capsys, *[str(qubit) if a == "QUBIT" else a for a in argv])
+        assert code == 4
+        assert out == ""
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert "measured t_perp 0.1 undercuts the bound" in err
