@@ -25,6 +25,7 @@ from .qcore import (
     NumericalFailure,
     PureState,
     SeparableEnsemble,
+    _require_same_layout,
     energy_stats,
     spectral_decompose,
 )
@@ -185,10 +186,7 @@ def mixed_state_bound(rho: DensityMatrix, hamiltonian: Hamiltonian) -> BoundResu
     """
     if not hamiltonian.is_ground_shifted:
         raise InvariantViolation("mixed_state_bound requires a ground-shifted hamiltonian")
-    if rho.layout.dims != hamiltonian.layout.dims:
-        raise InvariantViolation(
-            f"layout mismatch: {rho.layout.dims} vs {hamiltonian.layout.dims}"
-        )
+    _require_same_layout(rho, hamiltonian)
     pairs = spectral_decompose(rho)
     degenerate = any(
         abs(pairs[i][0] - pairs[i + 1][0]) <= DEGENERACY_TOL
@@ -254,10 +252,8 @@ def analyze_ensemble_at_qsl(ensemble: SeparableEnsemble,
     """
     if tol <= 0.0:
         raise InvariantViolation(f"tolerance must be positive, got {tol}")
-    _check_locals(ensemble, local_hamiltonians)
 
-    stats = mixture_stats(ensemble, local_hamiltonians)
-    bound = qsl_time(stats)
+    bound = qsl_time(mixture_stats(ensemble, local_hamiltonians))
     if bound.unbounded:
         return EnsembleAnalysis(
             bound, 1.0, (), False, "quantum speed limit time is unbounded"
@@ -288,54 +284,37 @@ def analyze_ensemble_at_qsl(ensemble: SeparableEnsemble,
     products = chi.prod(axis=2)
     survival = float(np.einsum("n,m,nm->", weights, weights, products))
 
+    # a survival above tol outranks any term's reason; else the first failing term wins
+    reason = "not saturating" if survival > tol else None
     reports = []
     for n, term in enumerate(terms):
         orthogonal = [k for k in range(n_sites) if chi[n, n, k] <= tol]
         stationary = tuple(
-            k for k in range(n_sites)
-            if float(np.abs(
-                term[k].matrix @ local_hamiltonians[k].matrix
-                - local_hamiltonians[k].matrix @ term[k].matrix
-            ).max()) <= tol
+            k for k, (factor, local) in enumerate(zip(term, local_hamiltonians))
+            if np.abs(factor.matrix @ local.matrix - local.matrix @ factor.matrix).max() <= tol
         )
         evolving = orthogonal[0] if len(orthogonal) == 1 else None
         bound_time = None
         if evolving is not None:
             own = qsl_time(energy_stats(term[evolving], local_hamiltonians[evolving]))
             bound_time = own.time
-        reports.append((TermReport(evolving, stationary, bound_time), orthogonal))
+        reports.append(TermReport(evolving, stationary, bound_time))
+        if reason is not None:
+            continue
+        moving = [k for k in range(n_sites) if k != evolving and k not in stationary]
+        if not orthogonal:
+            reason = f"term {n}: no subsystem reaches orthogonality at the bound"
+        elif evolving is None:
+            reason = f"term {n}: {len(orthogonal)} subsystems reach orthogonality"
+        elif moving:
+            reason = (
+                f"term {n}: subsystem {moving[0]} neither reaches orthogonality "
+                "nor is stationary"
+            )
+        elif abs(bound_time - t) > tol * max(1.0, t):
+            reason = (
+                f"term {n}: evolving subsystem bound {bound_time!r} "
+                f"differs from the global bound {t!r}"
+            )
 
-    reason = None
-    if survival > tol:
-        reason = "not saturating"
-    else:
-        for n, (report, orthogonal) in enumerate(reports):
-            if len(orthogonal) == 0:
-                reason = f"term {n}: no subsystem reaches orthogonality at the bound"
-                break
-            if len(orthogonal) > 1:
-                reason = f"term {n}: {len(orthogonal)} subsystems reach orthogonality"
-                break
-            others = [k for k in range(n_sites) if k != report.evolving]
-            bad = [k for k in others if k not in report.stationary]
-            if bad:
-                reason = (
-                    f"term {n}: subsystem {bad[0]} neither reaches orthogonality "
-                    "nor is stationary"
-                )
-                break
-            assert report.bound_time is not None
-            if abs(report.bound_time - t) > tol * max(1.0, t):
-                reason = (
-                    f"term {n}: evolving subsystem bound {report.bound_time!r} "
-                    f"differs from the global bound {t!r}"
-                )
-                break
-
-    return EnsembleAnalysis(
-        bound,
-        survival,
-        tuple(report for report, _ in reports),
-        reason is None,
-        reason,
-    )
+    return EnsembleAnalysis(bound, survival, tuple(reports), reason is None, reason)

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import svgplot
-from .bounds import analyze_ensemble_at_qsl, mixture_stats, qsl_time, separable_pure_bound
+from .bounds import analyze_ensemble_at_qsl, qsl_time, separable_pure_bound
 from .constructions import (
     CollectiveSpec,
     EntangledChainSpec,
@@ -106,6 +106,14 @@ def _ratio(t_perp: Optional[float], t_qsl: float, where: str) -> Optional[float]
             f"{where}: measured t_perp {t_perp!r} undercuts the bound {t_qsl!r}"
         )
     return ratio
+
+
+def _require_match(t_perp: Optional[float], expected: float, where: str) -> None:
+    """Raise ``NumericalFailure`` unless t_perp matches ``expected`` to 1e-8 relative."""
+    if t_perp is None or abs(t_perp - expected) > 1e-8 * expected:
+        raise NumericalFailure(
+            f"{where}: measured t_perp {t_perp!r} does not match the analytic value {expected!r}"
+        )
 
 
 def _int_list(raw: str) -> list[int]:
@@ -219,7 +227,7 @@ def cmd_ent_scan(args) -> Report:
     for n in args.levels:
         for m in args.subsystems:
             spec = EntangledChainSpec(n, m, w0)
-            t_analytic = 2.0 * math.pi / (n * m * w0)
+            t_analytic = spec.t_perp
             local = EnergyStats(w0 * (n - 1) / 2.0,
                                 w0 * math.sqrt(n * n - 1.0) / (2.0 * math.sqrt(3.0)))
             sep_bound = separable_pure_bound([local] * m)
@@ -227,11 +235,7 @@ def cmd_ent_scan(args) -> Report:
             if spec.total_dim <= args.cap and not args.no_verify:
                 state, hamiltonian, _ = make_psi_ent(spec, cap=args.cap)
                 result = first_orthogonal_time(state, hamiltonian)
-                if not result.found or abs(result.t_perp - t_analytic) > 1e-8 * t_analytic:
-                    raise NumericalFailure(
-                        f"N={n} M={m}: measured t_perp {result.t_perp!r} does not "
-                        f"match the analytic value {t_analytic!r}"
-                    )
+                _require_match(result.t_perp, t_analytic, f"N={n} M={m}")
             if m >= 2 and sep_bound / t_analytic < math.sqrt(m) * (1.0 - 1e-6):
                 raise NumericalFailure(
                     f"N={n} M={m}: separable bound {sep_bound!r} does not exceed "
@@ -258,17 +262,14 @@ def cmd_mixture_demo(args) -> Report:
     omega = args.omega
     ensemble, locals_ = make_mixture_demo(omega)
     analysis = analyze_ensemble_at_qsl(ensemble, locals_, tol=args.tol)
-    bound = qsl_time(mixture_stats(ensemble, locals_))
+    t_qsl = analysis.bound.time
 
     rho = ensemble.assemble()
     hamiltonian = noninteracting_hamiltonian(list(locals_))
     result = first_orthogonal_time(
         rho, hamiltonian, SearchOptions(horizon=args.horizon, ortho_tol=args.tol)
     )
-    if not result.found or abs(result.t_perp - bound.time) > 1e-8 * bound.time:
-        raise NumericalFailure(
-            f"mixture demo t_perp {result.t_perp!r} does not match the bound {bound.time!r}"
-        )
+    _require_match(result.t_perp, t_qsl, "mixture demo")
 
     # survival curve over one full revival period, normalized to 1 at t = 0
     ts = np.linspace(0.0, 2.0 * math.pi / omega, args.samples)
@@ -279,7 +280,7 @@ def cmd_mixture_demo(args) -> Report:
         stat = ",".join(str(k) for k in term.stationary) or "-"
         bt = "n/a" if term.bound_time is None else _fmt(term.bound_time)
         lines.append(f"term {i}: evolving={term.evolving} stationary={stat} bound={bt}")
-    lines.append(f"t_perp={_fmt(result.t_perp)} t_qsl={_fmt(bound.time)}")
+    lines.append(f"t_perp={_fmt(result.t_perp)} t_qsl={_fmt(t_qsl)}")
     return Report(
         {
             "verdict": analysis.verdict,
@@ -289,7 +290,7 @@ def cmd_mixture_demo(args) -> Report:
                 for r in analysis.terms
             ],
             "t_perp": result.t_perp,
-            "t_qsl": bound.time,
+            "t_qsl": t_qsl,
             "out": args.out,
         },
         "\n".join(lines) + "\n",
@@ -309,7 +310,7 @@ def _in_first_valley(groups: int, group: CollectiveSpec, times: Sequence[float],
     def product(ts: np.ndarray) -> np.ndarray:
         return np.abs(collective_overlap_fn(group, ts)) ** (2 * groups)
 
-    bandwidth = 2.0 * groups * (group.omega + group.qubits * group.omega0)
+    bandwidth = groups * group.bandwidth
     first = scan_first_zero(product, max(times), bandwidth, accept_tol=tol, scale=1.0)
     if not first.found:
         return False

@@ -69,6 +69,11 @@ class EntangledChainSpec:
     def total_dim(self) -> int:
         return self.levels ** self.subsystems
 
+    @property
+    def t_perp(self) -> float:
+        """Exact first orthogonality time 2*pi / (levels * subsystems * omega0)."""
+        return 2.0 * math.pi / (self.levels * self.subsystems * self.omega0)
+
 
 def make_psi_ent(spec: EntangledChainSpec,
                  cap: int = DENSE_CAP) -> tuple[PureState, Hamiltonian, float]:
@@ -92,7 +97,7 @@ def make_psi_ent(spec: EntangledChainSpec,
     stride = (spec.total_dim - 1) // (n - 1)  # flat index of |n n ... n>
     amplitudes[np.arange(n) * stride] = 1.0 / math.sqrt(n)
     state = PureState(hamiltonian.layout, amplitudes)
-    return state, hamiltonian, 2.0 * math.pi / (n * m * w0)
+    return state, hamiltonian, spec.t_perp
 
 
 def psi_ent_survival_amplitude(spec: EntangledChainSpec, t):
@@ -140,6 +145,12 @@ class CollectiveSpec:
             raise InvariantViolation("omega0 and omega must be nonnegative and finite")
         if self.omega0 <= 0.0 and self.omega <= 0.0:
             raise InvariantViolation("omega0 and omega cannot both be zero")
+        try:
+            variance = self.variance
+        except OverflowError:
+            variance = math.inf
+        if not 0.0 < variance < math.inf:  # it underflowed to zero or overflowed
+            raise InvariantViolation(f"energy variance {variance!r} is not positive and finite")
         if self.bits is not None:
             bits = tuple(int(b) for b in self.bits)
             if len(bits) != self.qubits or any(b not in (0, 1) for b in bits):
@@ -158,14 +169,26 @@ class CollectiveSpec:
         return self.omega + self.qubits * self.omega0
 
     @property
+    def variance(self) -> float:
+        """Energy variance omega^2 + M*omega0^2, or (omega + omega0)^2 at M = 1."""
+        if self.qubits == 1:  # sx_1 is prod_k sx_k, so the two couplings add
+            return (self.omega + self.omega0) ** 2
+        return self.omega ** 2 + self.qubits * self.omega0 ** 2
+
+    @property
     def spread(self) -> float:
-        """Energy spread sqrt(omega^2 + M*omega0^2) (exact for M >= 2)."""
-        return math.sqrt(self.omega ** 2 + self.qubits * self.omega0 ** 2)
+        """Energy spread, the square root of ``variance``."""
+        return math.sqrt(self.variance)
 
     @property
     def t_qsl(self) -> float:
-        """Speed limit time pi / (2 sqrt(omega^2 + M*omega0^2))."""
+        """Speed limit time pi / (2 spread)."""
         return math.pi / (2.0 * self.spread)
+
+    @property
+    def bandwidth(self) -> float:
+        """Bound 2(omega + M*omega0) on the frequencies in the survival signal."""
+        return 2.0 * self.energy
 
 
 def _collective_hamiltonian(qubits: int, omega0: float, omega: float,
@@ -199,9 +222,8 @@ def make_collective(spec: CollectiveSpec,
     """Assemble the collective model as a dense 2^M system.
 
     The Hamiltonian's ground energy is exactly zero (both terms are PSD and
-    share the all-plus eigenstate).  For M >= 2 the initial state's energy
-    statistics are (omega + M*omega0, sqrt(omega^2 + M*omega0^2)); at M = 1
-    the two couplings act through the same operator and simply add.
+    share the all-plus eigenstate).  The initial state's energy statistics
+    are the spec's ``energy`` and ``spread``.
     """
     dim = 2 ** spec.qubits
     if dim > cap:
@@ -248,7 +270,6 @@ def collective_t_perp(spec: CollectiveSpec,
     """
     if horizon is None:
         horizon = HORIZON_MULTIPLIER * spec.t_qsl
-    bandwidth = 2.0 * (spec.omega + spec.qubits * spec.omega0)
 
     def squared(ts: np.ndarray) -> np.ndarray:
         return np.abs(collective_overlap_fn(spec, ts)) ** 2
@@ -256,7 +277,7 @@ def collective_t_perp(spec: CollectiveSpec,
     return scan_first_zero(
         squared,
         horizon,
-        bandwidth,
+        spec.bandwidth,
         accept_tol=amplitude_tol ** 2,
         scan_fraction=scan_fraction,
         scale=1.0,
@@ -277,14 +298,10 @@ def grouped_t_perp(groups: int, per_group: int, omega0: float, omega: float,
     """
     if groups < 1 or per_group < 1:
         raise InvariantViolation("groups and per_group must both be >= 1")
-    if horizon is None:
-        aggregate_spread = math.sqrt(groups * (omega ** 2 + per_group * omega0 ** 2))
-        horizon = HORIZON_MULTIPLIER * math.pi / (2.0 * aggregate_spread)
-    return collective_t_perp(
-        CollectiveSpec(per_group, omega0, omega),
-        horizon=horizon,
-        amplitude_tol=amplitude_tol,
-    )
+    group = CollectiveSpec(per_group, omega0, omega)
+    if horizon is None:  # from the energy spread of all groups together
+        horizon = HORIZON_MULTIPLIER * math.pi / (2.0 * math.sqrt(groups * group.variance))
+    return collective_t_perp(group, horizon=horizon, amplitude_tol=amplitude_tol)
 
 
 def make_grouped(groups: int, per_group: int, omega0: float, omega: float,

@@ -477,16 +477,18 @@ def energy_stats(state: State, hamiltonian: Hamiltonian) -> EnergyStats:
         )
     h = hamiltonian.matrix
     if isinstance(state, PureState):
+        # ||(H - E) psi||^2: <H^2> - E^2 cancels a small spread at a large mean energy
         hv = h @ state.amplitudes
         mean = float(np.real(np.vdot(state.amplitudes, hv)))
-        second = float(np.real(np.vdot(hv, hv)))
+        residual = hv - mean * state.amplitudes
+        variance = float(np.real(np.vdot(residual, residual)))
     else:
         hr = h @ state.matrix
         mean = float(np.real(np.trace(hr)))
         second = float(np.real(np.trace(h @ hr)))
+        variance = second - mean * mean
     if mean < -1e-8:
         raise NumericalFailure(f"negative mean energy {mean!r} under a shifted hamiltonian")
-    variance = second - mean * mean
     return EnergyStats(max(mean, 0.0), math.sqrt(max(variance, 0.0)))
 
 

@@ -3,6 +3,7 @@
 import ast
 import graphlib
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,11 +16,14 @@ from qslsim import (
     Branch,
     DensityMatrix,
     EnergyStats,
+    EnsembleAnalysis,
     Hamiltonian,
     InvariantViolation,
+    NumericalFailure,
     PureState,
     SeparableEnsemble,
     SubsystemLayout,
+    TermReport,
     analyze_ensemble_at_qsl,
     energy_stats,
     first_orthogonal_time,
@@ -33,6 +37,7 @@ from qslsim import (
     survival,
     tensor_product,
 )
+from qslsim.bounds import CHI_NEGATIVITY_SLACK
 from conftest import random_density, random_shifted_hamiltonian
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -466,6 +471,157 @@ class TestAnalyzeEnsemble:
         ens, locals_ = make_mixture_demo(1.0)
         with pytest.raises(InvariantViolation, match="tolerance"):
             analyze_ensemble_at_qsl(ens, list(locals_), tol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# frozen reference: the two-pass ensemble analysis
+# ---------------------------------------------------------------------------
+
+
+def reference_analyze(ensemble, local_hamiltonians, tol=1e-9):
+    """``analyze_ensemble_at_qsl`` as it stood with a separate verdict pass.
+
+    Every term's report is built in one loop, then the verdict is decided in a
+    second loop over the same facts.  Kept as the oracle for the single-pass
+    version; the only line left out is its explicit locals check, which
+    ``mixture_stats`` runs first thing anyway.
+    """
+    if tol <= 0.0:
+        raise InvariantViolation(f"tolerance must be positive, got {tol}")
+
+    stats = mixture_stats(ensemble, local_hamiltonians)
+    bound = qsl_time(stats)
+    if bound.unbounded:
+        return EnsembleAnalysis(
+            bound, 1.0, (), False, "quantum speed limit time is unbounded"
+        )
+    t = bound.time
+
+    weights = ensemble.weights
+    terms = ensemble.terms
+    n_sites = len(terms[0])
+
+    chi = np.empty((len(terms), len(terms), n_sites))
+    for k, local in enumerate(local_hamiltonians):
+        evals, evecs = local.eigensystem()
+        phases = np.exp(-1j * np.subtract.outer(evals, evals) * t)
+        rotated = np.array([evecs.conj().T @ term[k].matrix @ evecs for term in terms])
+        chi[:, :, k] = np.einsum("nab,ab,mba->nm", rotated, phases, rotated).real
+    negative = np.argwhere(chi < -CHI_NEGATIVITY_SLACK)
+    if len(negative):
+        n, m, k = negative[0]
+        raise NumericalFailure(
+            f"overlap chi[{n},{m},{k}] = {float(chi[n, m, k])!r} is negative "
+            "beyond numerical slack"
+        )
+
+    products = chi.prod(axis=2)
+    survival = float(np.einsum("n,m,nm->", weights, weights, products))
+
+    reports = []
+    for n, term in enumerate(terms):
+        orthogonal = [k for k in range(n_sites) if chi[n, n, k] <= tol]
+        stationary = tuple(
+            k for k in range(n_sites)
+            if float(np.abs(
+                term[k].matrix @ local_hamiltonians[k].matrix
+                - local_hamiltonians[k].matrix @ term[k].matrix
+            ).max()) <= tol
+        )
+        evolving = orthogonal[0] if len(orthogonal) == 1 else None
+        bound_time = None
+        if evolving is not None:
+            own = qsl_time(energy_stats(term[evolving], local_hamiltonians[evolving]))
+            bound_time = own.time
+        reports.append((TermReport(evolving, stationary, bound_time), orthogonal))
+
+    reason = None
+    if survival > tol:
+        reason = "not saturating"
+    else:
+        for n, (report, orthogonal) in enumerate(reports):
+            if len(orthogonal) == 0:
+                reason = f"term {n}: no subsystem reaches orthogonality at the bound"
+                break
+            if len(orthogonal) > 1:
+                reason = f"term {n}: {len(orthogonal)} subsystems reach orthogonality"
+                break
+            others = [k for k in range(n_sites) if k != report.evolving]
+            bad = [k for k in others if k not in report.stationary]
+            if bad:
+                reason = (
+                    f"term {n}: subsystem {bad[0]} neither reaches orthogonality "
+                    "nor is stationary"
+                )
+                break
+            assert report.bound_time is not None
+            if abs(report.bound_time - t) > tol * max(1.0, t):
+                reason = (
+                    f"term {n}: evolving subsystem bound {report.bound_time!r} "
+                    f"differs from the global bound {t!r}"
+                )
+                break
+
+    return EnsembleAnalysis(
+        bound,
+        survival,
+        tuple(report for report, _ in reports),
+        reason is None,
+        reason,
+    )
+
+
+FACTOR_KINDS = ("eigenstate", "pair", "full-rank")
+
+
+def random_factor(rng, local: Hamiltonian, kind: str) -> DensityMatrix:
+    """An eigenstate, an equal two-level superposition or a random full-rank state."""
+    dim = local.layout.total_dim
+    _, evecs = local.eigensystem()
+    if kind == "eigenstate":
+        return projector(evecs[:, rng.integers(dim)])
+    if kind == "pair":
+        a, b = rng.choice(dim, size=2, replace=False)
+        return projector(evecs[:, a] + evecs[:, b])
+    return random_density(rng, dim)
+
+
+@st.composite
+def separable_ensembles(draw):
+    """(ensemble, locals, tol): 1-3 terms, 1-3 sites of dimension 2-3."""
+    dims = draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))
+    kinds = draw(st.lists(
+        st.lists(st.sampled_from(FACTOR_KINDS), min_size=len(dims), max_size=len(dims)),
+        min_size=1, max_size=3,
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    tol = 10.0 ** draw(st.floats(-9.0, 0.0))
+    locals_ = [random_shifted_hamiltonian(rng, d) for d in dims]
+    weights = rng.uniform(0.2, 1.0, size=len(kinds))
+    terms = tuple(
+        tuple(random_factor(rng, local, kind) for local, kind in zip(locals_, row))
+        for row in kinds
+    )
+    return SeparableEnsemble(tuple(weights / weights.sum()), terms), locals_, tol
+
+
+class TestAnalyzeEnsembleAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(separable_ensembles())
+    def test_single_pass_matches_two_pass(self, case):
+        ensemble, locals_, tol = case
+        try:
+            expected = reference_analyze(ensemble, locals_, tol)
+        except NumericalFailure as exc:
+            with pytest.raises(NumericalFailure, match=re.escape(str(exc))):
+                analyze_ensemble_at_qsl(ensemble, locals_, tol)
+            return
+        analysis = analyze_ensemble_at_qsl(ensemble, locals_, tol)
+        assert analysis.verdict == expected.verdict
+        assert analysis.reason == expected.reason
+        assert analysis.terms == expected.terms
+        assert analysis.survival_at_bound == expected.survival_at_bound
+        assert analysis.bound == expected.bound
 
 
 # ---------------------------------------------------------------------------

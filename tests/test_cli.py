@@ -189,6 +189,18 @@ class TestFig1Cmd:
         assert float(first[1]) == pytest.approx(math.pi / 2, abs=1e-9)
         assert float(first[3]) == pytest.approx(math.sqrt(3.0), abs=1e-9)
 
+    def test_single_qubit_reaches_its_bound(self, capsys):
+        # one qubit is a two-level system at frequency 2(omega + omega0), so
+        # t_perp = t_qsl = pi / (2 (omega + omega0)) on every row
+        code, out, err = run(capsys, "fig1", "--qubits", "1", "--stop", "3", "--step", "0.5",
+                             "--json")
+        assert (code, err) == (0, "")
+        for row in json.loads(out)["rows"]:
+            t_qsl = math.pi / (2.0 * (1.0 + row["omega_ratio"]))
+            assert row["t_qsl"] == pytest.approx(t_qsl, rel=1e-15)
+            assert row["t_perp"] == pytest.approx(t_qsl, abs=1e-10)
+            assert row["ratio"] == pytest.approx(1.0, abs=1e-9)
+
     def test_csv_has_12_significant_digits(self, capsys):
         code, out, _ = run(capsys, "fig1", "--qubits", "3", "--stop", "0", "--step", "1")
         assert code == 0
@@ -574,6 +586,19 @@ class TestReportPath:
         assert out == ""
         assert err.startswith(f"{argv[0]}: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["fig1", "--omega0", "1e300"],
+        ["fig1", "--omega0", "1e-300"],
+        ["groups", "--groups", "2", "--per-group", "1", "--omega0", "1e300"],
+        ["groups", "--groups", "2", "--per-group", "1", "--omega", "1e300"],
+        ["groups", "--groups", "2", "--per-group", "1", "--omega0", "1e-300"],
+    ])
+    def test_extreme_frequencies_exit_3(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("invalid input: ") and err.count("\n") == 1
 
     def test_failed_svg_write_removes_the_csv(self, capsys, tmp_path):
         csv = tmp_path / "sweep.csv"

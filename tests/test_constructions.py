@@ -192,6 +192,18 @@ class TestCollective:
             assert stats.energy == pytest.approx(w + m * w0, abs=1e-9)
             assert stats.spread == pytest.approx(math.sqrt(w * w + m * w0 * w0), abs=1e-9)
 
+    def test_spec_stats_match_matrix_at_one_qubit(self, rng):
+        # sx_1 and prod_k sx_k are the same operator at M = 1, so the
+        # couplings add: dE = omega + omega0
+        for _ in range(5):
+            w0 = float(rng.uniform(0.0, 2.0))
+            w = float(rng.uniform(0.1, 3.0))
+            spec = CollectiveSpec(1, w0, w)
+            stats = energy_stats(*make_collective(spec))
+            assert spec.spread == pytest.approx(w + w0, abs=1e-12)
+            assert stats.energy == pytest.approx(spec.energy, abs=1e-12)
+            assert stats.spread == pytest.approx(spec.spread, abs=1e-12)
+
     def test_ground_energy_is_zero(self):
         for m in (1, 2, 4, 6):
             _, h = make_collective(CollectiveSpec(m, 0.8, 1.7))
@@ -220,6 +232,19 @@ class TestCollective:
                 CollectiveSpec(2, omega0, omega)
         with pytest.raises(InvariantViolation, match="cap"):
             make_collective(CollectiveSpec(13, 1.0, 0.0))
+
+    @pytest.mark.parametrize("qubits, omega0, omega", [
+        (9, 1e300, 0.0),     # omega0 ** 2 overflows
+        (9, 1e154, 0.0),     # M * omega0 ** 2 overflows
+        (1, 1.0, 1e300),     # (omega + omega0) ** 2 overflows
+        (9, 1e-300, 0.0),    # the variance underflows to zero
+        (2, 1e-170, 1e-170),  # both squares underflow
+    ])
+    def test_extreme_couplings_rejected(self, qubits, omega0, omega):
+        with pytest.raises(InvariantViolation, match="variance"):
+            CollectiveSpec(qubits, omega0, omega)
+        with pytest.raises(InvariantViolation, match="variance"):
+            grouped_t_perp(2, qubits, omega0, omega)
 
 
 class TestCollectiveOverlap:

@@ -24,6 +24,7 @@ from qslsim import (
     load_system,
     make_mixture_demo,
     noninteracting_hamiltonian,
+    qsl_time,
     spectral_decompose,
     state_overlap,
     system_from_json,
@@ -31,7 +32,7 @@ from qslsim import (
     tensor_product,
 )
 from qslsim.qcore import _HUGE_PAGE, _pairs_to_array
-from conftest import random_density, random_hermitian, random_pure
+from conftest import random_density, random_hermitian, random_pure, random_unitary
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -326,6 +327,27 @@ class TestEnergyStats:
         h = Hamiltonian(SubsystemLayout((3,)), np.diag([0.0, 1.0, 2.0]).astype(complex))
         with pytest.raises(InvariantViolation, match="mismatch"):
             energy_stats(plus_state(), h)
+
+    def test_random_eigenstates_are_stationary(self, rng):
+        # <H^2> - E^2 leaves round-off ~eps * E^2 in the variance, a spread far
+        # above ZERO_TOL; ||(H - E) psi||^2 leaves only ~(eps * ||H||)^2
+        h = ground_shift(Hamiltonian(SubsystemLayout((16,)), random_hermitian(rng, 16)))
+        _, evecs = h.eigensystem()
+        for k in range(1, 16):
+            stats = energy_stats(PureState(h.layout, evecs[:, k]), h)
+            assert qsl_time(stats).unbounded
+
+    def test_small_spread_at_high_energy(self, rng):
+        # uniform superposition of levels 286..290 of an integer spectrum in a
+        # random basis: E = 288, dE = sqrt(2), so t_qsl = pi / (2 sqrt(2))
+        dim = 300
+        u = random_unitary(rng, dim)
+        h = Hamiltonian(SubsystemLayout((dim,)), (u * np.arange(dim, dtype=float)) @ u.conj().T)
+        h = ground_shift(h)
+        state = PureState(h.layout, u[:, 286:291].sum(axis=1) / math.sqrt(5.0))
+        stats = energy_stats(state, h)
+        assert stats.energy == pytest.approx(288.0, rel=1e-13)
+        assert qsl_time(stats).time == pytest.approx(math.pi / (2.0 * math.sqrt(2.0)), abs=1e-13)
 
     def test_mixed_state_stats_match_eigen_average(self, rng):
         for _ in range(5):
