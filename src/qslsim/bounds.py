@@ -25,6 +25,8 @@ from .qcore import (
     NumericalFailure,
     PureState,
     SeparableEnsemble,
+    _in_eigenbasis,
+    _require_ground_shifted,
     _require_same_layout,
     energy_stats,
     spectral_decompose,
@@ -146,8 +148,7 @@ def _check_locals(ensemble: SeparableEnsemble,
                 f"local hamiltonian {k} has dimension {local.layout.total_dim}, "
                 f"expected {layout.dims[k]}"
             )
-        if not local.is_ground_shifted:
-            raise InvariantViolation(f"local hamiltonian {k} is not ground-shifted")
+        _require_ground_shifted(local, f"local hamiltonian {k}")
 
 
 def mixture_stats(ensemble: SeparableEnsemble,
@@ -184,8 +185,7 @@ def mixed_state_bound(rho: DensityMatrix, hamiltonian: Hamiltonian) -> BoundResu
     eigenvector is stationary (E or dE zero): the overlap then never vanishes.
     Always at least ``qsl_time`` of the state's own statistics.
     """
-    if not hamiltonian.is_ground_shifted:
-        raise InvariantViolation("mixed_state_bound requires a ground-shifted hamiltonian")
+    _require_ground_shifted(hamiltonian, "hamiltonian")
     _require_same_layout(rho, hamiltonian)
     pairs = spectral_decompose(rho)
     degenerate = any(
@@ -269,9 +269,9 @@ def analyze_ensemble_at_qsl(ensemble: SeparableEnsemble,
     # Taken raw, so that the nonnegativity of every term is actually observable.
     chi = np.empty((len(terms), len(terms), n_sites))
     for k, local in enumerate(local_hamiltonians):
-        evals, evecs = local.eigensystem()
+        evals = local.eigensystem()[0]
         phases = np.exp(-1j * np.subtract.outer(evals, evals) * t)
-        rotated = np.array([evecs.conj().T @ term[k].matrix @ evecs for term in terms])
+        rotated = np.array([_in_eigenbasis(term[k], local) for term in terms])
         chi[:, :, k] = np.einsum("nab,ab,mba->nm", rotated, phases, rotated).real
     negative = np.argwhere(chi < -CHI_NEGATIVITY_SLACK)
     if len(negative):

@@ -109,7 +109,10 @@ def _ratio(t_perp: Optional[float], t_qsl: float, where: str) -> Optional[float]
 
 
 def _require_match(t_perp: Optional[float], expected: float, where: str) -> None:
-    """Raise ``NumericalFailure`` unless t_perp matches ``expected`` to 1e-8 relative."""
+    """Raise ``NumericalFailure`` unless t_perp matches ``expected`` to 1e-8 relative;
+    an infinite ``expected`` means the input's energy is too small to measure."""
+    if not math.isfinite(expected):
+        raise InvariantViolation(f"{where}: the analytic t_perp {expected!r} is not finite")
     if t_perp is None or abs(t_perp - expected) > 1e-8 * expected:
         raise NumericalFailure(
             f"{where}: measured t_perp {t_perp!r} does not match the analytic value {expected!r}"

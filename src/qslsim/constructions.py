@@ -85,10 +85,6 @@ def make_psi_ent(spec: EntangledChainSpec,
     with the same (homogeneous) energy budget.
     """
     n, m, w0 = spec.levels, spec.subsystems, spec.omega0
-    if spec.total_dim > cap:
-        raise InvariantViolation(
-            f"dimension {spec.total_dim} exceeds the dense cap {cap}"
-        )
     local_layout = SubsystemLayout((n,))
     local = Hamiltonian(local_layout, np.diag(w0 * np.arange(n)).astype(complex))
     hamiltonian = noninteracting_hamiltonian([local] * m, cap=cap)
@@ -191,8 +187,7 @@ class CollectiveSpec:
         return 2.0 * self.energy
 
 
-def _collective_hamiltonian(qubits: int, omega0: float, omega: float,
-                            cap: int) -> Hamiltonian:
+def _collective_hamiltonian(spec: CollectiveSpec, layout: SubsystemLayout) -> Hamiltonian:
     """The collective model's Hamiltonian with its exact eigensystem.
 
     sx_k flips bit k of a product-basis index and prod_k sx_k flips them all,
@@ -200,7 +195,8 @@ def _collective_hamiltonian(qubits: int, omega0: float, omega: float,
     in the sx product (Hadamard) basis: the state |s> with sx_k = (-1)^(s_k)
     has energy 2 omega0 |s| + omega (1 - (-1)^|s|), where |s| counts its ones.
     """
-    dim = 2 ** qubits
+    qubits, omega0, omega = spec.qubits, spec.omega0, spec.omega
+    dim = layout.total_dim
     index = np.arange(dim)
     matrix = _dense_empty(dim, dim)
     matrix.fill(0.0)
@@ -213,7 +209,6 @@ def _collective_hamiltonian(qubits: int, omega0: float, omega: float,
     evals = 2.0 * omega0 * ones + 2.0 * omega * (ones & 1)
     order = np.argsort(evals, kind="stable")
     evecs = _kron_columns([_HADAMARD] * qubits, order)
-    layout = SubsystemLayout((2,) * qubits, cap=cap)
     return Hamiltonian._from_eigensystem(layout, matrix, evals[order], evecs)
 
 
@@ -225,17 +220,14 @@ def make_collective(spec: CollectiveSpec,
     share the all-plus eigenstate).  The initial state's energy statistics
     are the spec's ``energy`` and ``spread``.
     """
-    dim = 2 ** spec.qubits
-    if dim > cap:
-        raise InvariantViolation(f"dimension {dim} exceeds the dense cap {cap}")
-    hamiltonian = _collective_hamiltonian(spec.qubits, spec.omega0, spec.omega, cap)
+    layout = SubsystemLayout((2,) * spec.qubits, cap=cap)
     bits = spec.bit_vector
     index = 0
     for b in bits:
         index = index * 2 + b
-    amplitudes = np.zeros(dim, dtype=complex)
+    amplitudes = np.zeros(layout.total_dim, dtype=complex)
     amplitudes[index] = 1.0
-    return PureState(hamiltonian.layout, amplitudes), hamiltonian
+    return PureState(layout, amplitudes), _collective_hamiltonian(spec, layout)
 
 
 def collective_overlap_fn(spec: CollectiveSpec, t):
@@ -316,15 +308,11 @@ def make_grouped(groups: int, per_group: int, omega0: float, omega: float,
     """
     if groups < 1 or per_group < 1:
         raise InvariantViolation("groups and per_group must both be >= 1")
-    CollectiveSpec(per_group, omega0, omega)  # validate couplings once
-    total_qubits = groups * per_group
-    dim = 2 ** total_qubits
-    if dim > cap:
-        raise InvariantViolation(f"dimension {dim} exceeds the dense cap {cap}")
-    layout = SubsystemLayout((2,) * total_qubits, cap=cap)
-    block = _collective_hamiltonian(per_group, omega0, omega, cap)
+    group = CollectiveSpec(per_group, omega0, omega)
+    layout = SubsystemLayout((2,) * (groups * per_group), cap=cap)
+    block = _collective_hamiltonian(group, SubsystemLayout((2,) * per_group, cap=cap))
     hamiltonian = _local_sum(layout, [block] * groups)
-    amplitudes = np.zeros(dim, dtype=complex)
+    amplitudes = np.zeros(layout.total_dim, dtype=complex)
     amplitudes[0] = 1.0
     return PureState(layout, amplitudes), hamiltonian
 

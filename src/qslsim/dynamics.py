@@ -30,12 +30,15 @@ from .qcore import (
     PureState,
     State,
     energy_stats,
+    _in_eigenbasis,
+    _require_ground_shifted,
     _require_same_layout,
 )
 
-#: Absolute time accuracy of the refined minima of a pure-state survival (the
-#: refinement itself runs two decades tighter so that steep zeros still dip
-#: below the acceptance threshold at the best evaluated point).  A mixed-state
+#: Absolute time accuracy of the refined minima of a pure-state survival, or
+#: 1e-7 of the scan step where that is smaller (the refinement itself runs two
+#: decades tighter so that steep zeros still dip below the acceptance
+#: threshold at the best evaluated point).  A mixed-state
 #: survival is a sum carrying ~1e-16 round-off, which pins its quadratic
 #: minima only to ~1e-8 relative.
 TIME_RESOLUTION = 1e-10
@@ -126,10 +129,9 @@ def evolve(state: State, hamiltonian: Hamiltonian, t: float) -> State:
     evals, evecs = hamiltonian.eigensystem()
     phases = np.exp(-1j * evals * t)
     if isinstance(state, PureState):
-        amp = evecs @ (phases * (evecs.conj().T @ state.amplitudes))
+        amp = evecs @ (phases * _in_eigenbasis(state, hamiltonian))
         return PureState(state.layout, amp)
-    rho_eig = evecs.conj().T @ state.matrix @ evecs
-    rho_eig = rho_eig * np.outer(phases, phases.conj())
+    rho_eig = _in_eigenbasis(state, hamiltonian) * np.outer(phases, phases.conj())
     mat = evecs @ rho_eig @ evecs.conj().T
     mat = 0.5 * (mat + mat.conj().T)  # remove round-off skew from the products
     return DensityMatrix(state.layout, mat)
@@ -154,14 +156,13 @@ class _SurvivalSignal:
     """
 
     def __init__(self, state: State, hamiltonian: Hamiltonian):
-        evals, evecs = hamiltonian.eigensystem()
+        evals = hamiltonian.eigensystem()[0]
+        coeffs = np.abs(_in_eigenbasis(state, hamiltonian)) ** 2
         if isinstance(state, PureState):
-            # |V^T psi*| = |V^dagger psi|, without a conjugated copy of V
-            coeff = evecs.T @ state.amplitudes.conj()
             # Exactly equal eigenvalues share one term, so a degenerate
             # spectrum costs its distinct levels rather than its dimension.
             freqs, level = np.unique(evals, return_inverse=True)
-            weights = np.bincount(level, weights=np.abs(coeff) ** 2)
+            weights = np.bincount(level, weights=coeffs)
             self._pure = True
             self._freqs = freqs
             # -i * freqs, so that each block needs one complex temporary
@@ -169,8 +170,6 @@ class _SurvivalSignal:
             support = freqs[weights > _SUPPORT_CUT]
             self.bandwidth = float(support.max() - support.min()) if support.size else 0.0
         else:
-            rho_eig = evecs.conj().T @ state.matrix @ evecs
-            coeffs = np.abs(rho_eig) ** 2
             a, b = np.triu_indices(evals.size, 1)  # every pair a < b once
             pair = coeffs[a, b] + coeffs[b, a]
             gaps = np.abs(evals[b] - evals[a])
@@ -235,8 +234,7 @@ def survival(state: State, hamiltonian: Hamiltonian, t) -> float | np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _golden_min(fn: Callable[[float], float], a: float, b: float,
-                xtol: float = _GOLDEN_XTOL,
+def _golden_min(fn: Callable[[float], float], a: float, b: float, xtol: float,
                 max_iter: int = 200) -> tuple[float, float]:
     """Golden-section minimum of fn on [a, b]; returns the best point seen."""
     x1 = b - _INV_GOLDEN * (b - a)
@@ -266,7 +264,7 @@ def _golden_min(fn: Callable[[float], float], a: float, b: float,
 
 
 def _refine_bracket(vec_fn: Callable[[np.ndarray], np.ndarray],
-                    a: float, b: float, accept_tol: float, curvature: float,
+                    a: float, b: float, accept_tol: float, curvature: float, xtol: float,
                     subdivisions: int = _REFINE_SUBDIVISIONS):
     """Look for a zero in a candidate bracket: fine scan, then golden section.
 
@@ -287,7 +285,7 @@ def _refine_bracket(vec_fn: Callable[[np.ndarray], np.ndarray],
                  & (mid <= accept_tol + curvature * dx * dx / 8.0))
     scalar = lambda x: float(vec_fn(np.array([x]))[0])
     for j in np.flatnonzero(reachable) + 1:
-        t, value = _golden_min(scalar, float(xs[j - 1]), float(xs[j + 1]))
+        t, value = _golden_min(scalar, float(xs[j - 1]), float(xs[j + 1]), xtol)
         if value <= accept_tol:
             return True, t, value
     return False, None, None
@@ -295,20 +293,20 @@ def _refine_bracket(vec_fn: Callable[[np.ndarray], np.ndarray],
 
 def _lower_minimum(vec_fn: Callable[[np.ndarray], np.ndarray],
                    lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarray,
-                   curvature: float, tol: float,
+                   curvature: float, tol: float, xtol: float,
                    best_t: float, best_val: float) -> tuple[float, float]:
     """Lower (best_t, best_val) to within ``tol`` of the minimum over the cells.
 
     Branch and bound (Piyavskii-Shubert with a curvature bound): on a cell
     [lo, hi] with end values f_lo, f_hi a signal with |s''| <= curvature lies
     at most curvature * (hi - lo)**2 / 8 below min(f_lo, f_hi).  Cells whose
-    bound is not below ``best_val - tol``, or that are at most ``_GOLDEN_XTOL``
-    wide, are dropped; the others are bisected, one ``vec_fn`` call per level.
+    bound is not below ``best_val - tol``, or that are at most ``xtol`` wide,
+    are dropped; the others are bisected, one ``vec_fn`` call per level.
     """
     while True:
         width = hi - lo
         live = ((np.minimum(f_lo, f_hi) - curvature * width * width / 8.0 < best_val - tol)
-                & (width > _GOLDEN_XTOL))
+                & (width > xtol))
         if not live.any():
             return best_t, best_val
         lo, hi, f_lo, f_hi = lo[live], hi[live], f_lo[live], f_hi[live]
@@ -367,6 +365,8 @@ def scan_first_zero(vec_fn: Callable[[np.ndarray], np.ndarray],
     ts = np.linspace(0.0, horizon, count + 1)
     vals = vec_fn(ts)
     step = horizon / count
+    # times scale as 1/frequency, so the searches stop at 1e-9 of the step if that is finer
+    xtol = min(_GOLDEN_XTOL, 1e-9 * step)
     if scale is None:
         # A peak lies within h/2 of a sample; with s' = 0 there and
         # |s''| <= bandwidth**2 * sup / 2, that sample is at least
@@ -387,7 +387,7 @@ def scan_first_zero(vec_fn: Callable[[np.ndarray], np.ndarray],
 
     for i, j in zip(candidates[zero_capable], right[zero_capable]):
         found, t, value = _refine_bracket(
-            vec_fn, float(ts[i - 1]), float(ts[j]), accept_tol, curvature
+            vec_fn, float(ts[i - 1]), float(ts[j]), accept_tol, curvature, xtol
         )
         if found:
             return OrthogonalityResult(True, t, max(value, 0.0), t, horizon)
@@ -404,7 +404,7 @@ def scan_first_zero(vec_fn: Callable[[np.ndarray], np.ndarray],
     interior = int(np.argmin(vals[1:])) + 1
     best_t, best_val = _lower_minimum(
         vec_fn, ts[cells], ts[cells + 1], vals[cells], vals[cells + 1],
-        curvature, _MINIMUM_RTOL * scale, float(ts[interior]), float(vals[interior]),
+        curvature, _MINIMUM_RTOL * scale, xtol, float(ts[interior]), float(vals[interior]),
     )
     return OrthogonalityResult(False, None, max(best_val, 0.0), best_t, horizon)
 
@@ -425,11 +425,7 @@ def first_orthogonal_time(state: State, hamiltonian: Hamiltonian,
     if not isinstance(opts, SearchOptions):
         raise InvariantViolation("opts must be a SearchOptions instance")
     _require_same_layout(state, hamiltonian)
-    if not hamiltonian.is_ground_shifted:
-        raise InvariantViolation(
-            "first_orthogonal_time requires a ground-shifted hamiltonian; "
-            "apply ground_shift first"
-        )
+    _require_ground_shifted(hamiltonian, "hamiltonian")
     signal = _SurvivalSignal(state, hamiltonian)
     if signal.bandwidth <= _BANDWIDTH_FLOOR:
         return OrthogonalityResult(False, None, signal.initial, 0.0, 0.0)

@@ -342,6 +342,22 @@ def _require_same_layout(a, b) -> None:
         )
 
 
+def _require_ground_shifted(hamiltonian: Hamiltonian, what: str) -> None:
+    if not hamiltonian.is_ground_shifted:
+        raise InvariantViolation(
+            f"{what} has ground energy {hamiltonian.ground_energy!r}; apply ground_shift first"
+        )
+
+
+def _in_eigenbasis(state: State, hamiltonian: Hamiltonian) -> np.ndarray:
+    """V^dagger psi or V^dagger rho V, with V the Hamiltonian's eigenvector columns."""
+    evecs = hamiltonian.eigensystem()[1]
+    if isinstance(state, PureState):
+        # conj(V^T psi*) is V^dagger psi without a conjugated copy of V
+        return (evecs.T @ state.amplitudes.conj()).conj()
+    return evecs.conj().T @ state.matrix @ evecs
+
+
 def tensor_product(factors: Sequence[Sequence[complex]],
                    layout: SubsystemLayout | None = None) -> PureState:
     """Kronecker product of normalized local state vectors.
@@ -470,11 +486,7 @@ def energy_stats(state: State, hamiltonian: Hamiltonian) -> EnergyStats:
     mean energy, so it has to be an explicit step (see ``ground_shift``).
     """
     _require_same_layout(state, hamiltonian)
-    if not hamiltonian.is_ground_shifted:
-        raise InvariantViolation(
-            f"hamiltonian has ground energy {hamiltonian.ground_energy!r}; "
-            "apply ground_shift before computing energy statistics"
-        )
+    _require_ground_shifted(hamiltonian, "hamiltonian")
     h = hamiltonian.matrix
     if isinstance(state, PureState):
         # ||(H - E) psi||^2: <H^2> - E^2 cancels a small spread at a large mean energy

@@ -1,5 +1,6 @@
 """Tests for the command-line runner: formats, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 
@@ -593,6 +594,9 @@ class TestReportPath:
         ["groups", "--groups", "2", "--per-group", "1", "--omega0", "1e300"],
         ["groups", "--groups", "2", "--per-group", "1", "--omega", "1e300"],
         ["groups", "--groups", "2", "--per-group", "1", "--omega0", "1e-300"],
+        # the energy falls below the bound's zero tolerance: t_qsl is infinite
+        ["mixture-demo", "--omega", "1e-300"],
+        ["mixture-demo", "--omega", "1e-13"],
     ])
     def test_extreme_frequencies_exit_3(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -628,3 +632,59 @@ class TestReportPath:
         assert out == ""
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
         assert "measured t_perp 0.1 undercuts the bound" in err
+
+
+class TestFrequencyScale:
+    """Times scale as 1/omega, so ratios and exit codes do not depend on it."""
+
+    @pytest.mark.parametrize("omega0", ["1e6", "1e9", "1e12"])
+    def test_fig1_rows_match_unit_scale(self, capsys, omega0):
+        grid = ["--stop", "4", "--step", "0.5", "--json"]
+        _, unit, _ = run(capsys, "fig1", *grid)
+        code, out, err = run(capsys, "fig1", "--omega0", omega0, *grid)
+        assert (code, err) == (0, "")
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 9
+        for expected, row in zip(json.loads(unit)["rows"], rows):
+            assert row["t_perp"] is not None
+            assert row["ratio"] == pytest.approx(expected["ratio"], rel=1e-9)
+
+    @pytest.mark.parametrize("argv", [
+        ["mixture-demo", "--omega", "1e6"],
+        ["mixture-demo", "--omega", "1e8"],
+        ["mixture-demo", "--omega", "1e10"],
+        ["mixture-demo", "--omega", "1e12"],
+        ["ent-scan", "--omega0", "1e8", "--levels", "3", "--subsystems", "2"],
+    ])
+    def test_checked_against_the_closed_form_at_high_frequency(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["command"] == argv[0]
+
+    def test_groups_found_at_high_frequency(self, capsys):
+        argv = ["groups", "--groups", "2", "--per-group", "2", "--json"]
+        _, unit, _ = run(capsys, *argv)
+        code, out, err = run(capsys, *argv, "--omega0", "1e8")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["status"] == "Found"
+        assert payload["ratio"] == pytest.approx(json.loads(unit)["ratio"], rel=1e-9)
+
+
+#: SHA-256 of the CSV each invocation writes with its default options.  The
+#: published tables are compared byte for byte: a change in any printed digit
+#: shows here.
+CSV_DIGESTS = {
+    ("fig1",): "baba0221ea5a24c06a6d20b4c51794348d38ef7376a2616575246ee31d932875",
+    ("fig1", "--limit"): "d1c658d8a10ba2baff4ccc4115481d321726a63cceecb31175949f95b9e9ae2f",
+    ("ent-scan",): "d4df6fdd198195f5669e1b4da575f0378f8e21a829e97a4f7fecf165391621d1",
+    ("mixture-demo",): "f0ecf28f4c2520eebd98d3f50ba0e308d77e14bb9165f42931a3a83ed749b426",
+}
+
+
+@pytest.mark.parametrize("argv, digest", CSV_DIGESTS.items())
+def test_default_csv_bytes(capsys, tmp_path, argv, digest):
+    path = tmp_path / "out.csv"
+    code, _, err = run(capsys, *argv, "--out", str(path))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

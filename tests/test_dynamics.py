@@ -18,6 +18,7 @@ from qslsim import (
     energy_stats,
     evolve,
     first_orthogonal_time,
+    ground_shift,
     make_psi_ent,
     qsl_time,
     scan_first_zero,
@@ -26,7 +27,7 @@ from qslsim import (
 )
 from qslsim import dynamics
 from qslsim.dynamics import _EVAL_BUDGET, _SurvivalSignal
-from conftest import random_density, random_pure, random_shifted_hamiltonian
+from conftest import random_density, random_pure, random_shifted_hamiltonian, random_unitary
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -422,6 +423,32 @@ class TestFirstOrthogonalTime:
         window = 4.0 * math.sqrt(opts.ortho_tol)
         ts = np.linspace(1e-6, res.t_perp - window, 20001)
         assert survival(state, h, ts).min() > opts.ortho_tol
+
+    @pytest.mark.parametrize("scale", [1.0, 1e5, 1e10])
+    def test_zero_at_any_frequency_scale(self, scale):
+        # (|0> + |1> + |2>)/sqrt(3) under levels 0, s, 2s first vanishes at
+        # 2 pi / (3 s); the scan step shrinks with 1/s, and so must the search
+        lay = SubsystemLayout((3,))
+        h = Hamiltonian(lay, np.diag([0.0, scale, 2.0 * scale]).astype(complex))
+        res = first_orthogonal_time(PureState(lay, np.ones(3) / math.sqrt(3.0)), h)
+        assert res.found
+        assert res.t_perp * scale == pytest.approx(2.0 * math.pi / 3.0, rel=1e-9)
+
+    def test_minimum_at_any_frequency_scale(self, rng):
+        # a full-rank state never orthogonalizes; scaling H by s rescales time
+        # by 1/s and leaves the minimum of the survival unchanged
+        rho = random_density(rng, 8)
+        u = random_unitary(rng, 8)
+        evals = np.sort(rng.uniform(0.0, 3.0, 8))
+        purity = float(np.vdot(rho.matrix, rho.matrix).real)
+        minima = []
+        for s in (1.0, 1e4, 1e8, 1e12):
+            mat = (u * (s * evals)) @ u.conj().T
+            res = first_orthogonal_time(
+                rho, ground_shift(Hamiltonian(rho.layout, 0.5 * (mat + mat.conj().T))))
+            assert not res.found
+            minima.append(res.min_overlap)
+        assert max(minima) - min(minima) <= 1e-13 * purity
 
     def test_not_found_when_horizon_too_short(self):
         state, h = qubit_system()
