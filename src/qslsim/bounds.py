@@ -23,13 +23,12 @@ from .qcore import (
     Hamiltonian,
     InvariantViolation,
     NumericalFailure,
-    PureState,
     SeparableEnsemble,
     _in_eigenbasis,
     _require_ground_shifted,
     _require_same_layout,
+    _retained_eigensystem,
     energy_stats,
-    spectral_decompose,
 )
 
 ZERO_TOL = 1e-12
@@ -187,17 +186,21 @@ def mixed_state_bound(rho: DensityMatrix, hamiltonian: Hamiltonian) -> BoundResu
     """
     _require_ground_shifted(hamiltonian, "hamiltonian")
     _require_same_layout(rho, hamiltonian)
-    pairs = spectral_decompose(rho)
-    degenerate = any(
-        abs(pairs[i][0] - pairs[i + 1][0]) <= DEGENERACY_TOL
-        for i in range(len(pairs) - 1)
-    )
-    stats = [
-        energy_stats(PureState(rho.layout, vec), hamiltonian)
-        for _, vec in pairs
-    ]
-    e_min = min(s.energy for s in stats)
-    s_min = min(s.spread for s in stats)
+    evals, vecs = _retained_eigensystem(rho)
+    degenerate = bool((np.diff(evals) <= DEGENERACY_TOL).any())
+    # every eigenvector's <H> and ||(H - E) v||^2 from one product, as energy_stats
+    # forms them; Re(conj(a) b) = Re a Re b + Im a Im b needs no complex temporary
+    hv = hamiltonian.matrix @ vecs
+    energies = (np.einsum("ij,ij->j", vecs.real, hv.real)
+                + np.einsum("ij,ij->j", vecs.imag, hv.imag))
+    hv -= vecs * energies
+    variances = np.einsum("ij,ij->j", hv.real, hv.real) + np.einsum("ij,ij->j", hv.imag, hv.imag)
+    if energies.min() < -1e-8:
+        raise NumericalFailure(
+            f"negative mean energy {float(energies.min())!r} under a shifted hamiltonian"
+        )
+    e_min = max(float(energies.min()), 0.0)
+    s_min = math.sqrt(max(float(variances.min()), 0.0))
     return _max_bound(e_min, s_min, degenerate)
 
 

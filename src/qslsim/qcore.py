@@ -495,10 +495,14 @@ def energy_stats(state: State, hamiltonian: Hamiltonian) -> EnergyStats:
         residual = hv - mean * state.amplitudes
         variance = float(np.real(np.vdot(residual, residual)))
     else:
-        hr = h @ state.matrix
+        # Tr[(H - E)((H - E) rho)], centred like the pure branch, from one D x D product
+        rho = state.matrix
+        hr = h @ rho
         mean = float(np.real(np.trace(hr)))
-        second = float(np.real(np.trace(h @ hr)))
-        variance = second - mean * mean
+        hr -= mean * rho
+        shifted = h.copy()
+        shifted.flat[:: rho.shape[0] + 1] -= mean
+        variance = float(np.real(np.einsum("ij,ji->", shifted, hr)))
     if mean < -1e-8:
         raise NumericalFailure(f"negative mean energy {mean!r} under a shifted hamiltonian")
     return EnergyStats(max(mean, 0.0), math.sqrt(max(variance, 0.0)))
@@ -530,15 +534,20 @@ def spectral_decompose(rho: DensityMatrix) -> list[tuple[float, np.ndarray]]:
     minima.  For degenerate eigenvalues the eigensolver's basis is returned
     as-is; any orthonormal choice is equally valid downstream.
     """
-    evals, evecs = _eigh(rho.matrix, "density matrix")
-    pairs = [
+    evals, evecs = _retained_eigensystem(rho)
+    return [
         (float(evals[i]), np.array(evecs[:, i], copy=True))
         for i in range(evals.size - 1, -1, -1)
-        if evals[i] >= EIGENVALUE_DROP
     ]
-    if not pairs:
+
+
+def _retained_eigensystem(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of rho at or above ``EIGENVALUE_DROP``, with their eigenvector columns."""
+    evals, evecs = _eigh(rho.matrix, "density matrix")
+    first = int(np.searchsorted(evals, EIGENVALUE_DROP))
+    if first == evals.size:
         raise NumericalFailure("no eigenvalue of the density matrix survived the cutoff")
-    return pairs
+    return evals[first:], evecs[:, first:]
 
 
 # ---------------------------------------------------------------------------

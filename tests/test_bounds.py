@@ -34,10 +34,11 @@ from qslsim import (
     noninteracting_hamiltonian,
     qsl_time,
     separable_pure_bound,
+    spectral_decompose,
     survival,
     tensor_product,
 )
-from qslsim.bounds import CHI_NEGATIVITY_SLACK
+from qslsim.bounds import CHI_NEGATIVITY_SLACK, DEGENERACY_TOL, _max_bound
 from conftest import random_density, random_shifted_hamiltonian
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -252,6 +253,13 @@ class TestMixtureStats:
         assert stats.energy == pytest.approx(1.5, abs=1e-12)
         assert stats.spread == pytest.approx(0.5, abs=1e-12)
 
+    def test_mixture_demo_bound_within_two_ulp_of_pi(self):
+        # the centred density-matrix variance keeps the aggregate t_qsl at pi;
+        # Tr[H^2 rho] - E^2 left it 13 ulp below
+        ens, locals_ = make_mixture_demo(1.0)
+        t_qsl = qsl_time(mixture_stats(ens, list(locals_))).time
+        assert abs(t_qsl - math.pi) <= 2 * math.ulp(math.pi)
+
     def test_classical_variance_only(self):
         # two equal-weight terms with total energies 0 and 2, zero spreads
         h = qubit_levels(0.0, 2.0)
@@ -349,6 +357,43 @@ class TestMixedStateBound:
         rho = random_density(rng, 2)
         h = qubit_levels(1.0, 2.0)
         with pytest.raises(InvariantViolation, match="ground"):
+            mixed_state_bound(rho, h)
+
+    @staticmethod
+    def per_vector_bound(rho, h):
+        # frozen reference: one PureState and one energy_stats call per eigenvector
+        pairs = spectral_decompose(rho)
+        degenerate = any(
+            abs(pairs[i][0] - pairs[i + 1][0]) <= DEGENERACY_TOL for i in range(len(pairs) - 1)
+        )
+        stats = [energy_stats(PureState(rho.layout, vec), h) for _, vec in pairs]
+        return _max_bound(min(s.energy for s in stats), min(s.spread for s in stats), degenerate)
+
+    def test_matches_the_per_vector_loop(self, rng):
+        cases = [(projector([1, 1, 0]), qubit_levels(0.0, 1.0, 2.0)),
+                 (DensityMatrix(SubsystemLayout((2,)), 0.5 * np.eye(2, dtype=complex)),
+                  qubit_levels(0.0, 1.0))]
+        for _ in range(40):
+            dim = int(rng.integers(2, 17))
+            cases.append((random_density(rng, dim, rank=int(rng.integers(1, dim + 1))),
+                          random_shifted_hamiltonian(rng, dim, scale=float(rng.uniform(0.1, 100.0)))))
+        for rho, h in cases:
+            got, ref = mixed_state_bound(rho, h), self.per_vector_bound(rho, h)
+            assert (got.branch, got.degenerate) == (ref.branch, ref.degenerate)
+            if ref.unbounded:
+                assert got.unbounded
+            else:
+                assert got.time == pytest.approx(ref.time, rel=1e-14, abs=0.0)
+
+    def test_negative_mean_energy_is_a_numerical_failure(self):
+        # an eigensystem that claims a zero ground energy for a matrix with a
+        # negative one: the eigenvector statistics expose it
+        lay = SubsystemLayout((3,))
+        h = Hamiltonian._from_eigensystem(
+            lay, np.diag([-1.0, 0.0, 1.0]).astype(complex),
+            np.array([0.0, 1.0, 2.0]), np.eye(3, dtype=complex))
+        rho = DensityMatrix(lay, np.diag([0.6, 0.4, 0.0]).astype(complex))
+        with pytest.raises(NumericalFailure, match="negative mean energy -1.0 "):
             mixed_state_bound(rho, h)
 
     def test_ordering_chain_on_random_states(self, rng):

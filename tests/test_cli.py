@@ -372,6 +372,13 @@ class TestMixtureDemoCmd:
         assert float(mid[0]) == pytest.approx(math.pi, abs=1e-9)
         assert float(mid[1]) <= 1e-9
 
+    def test_prints_pi_to_every_digit(self, capsys):
+        # a density matrix's zero is as sharp as a pure state's, so the printed
+        # 12 digits of t_perp are those of pi
+        code, out, _ = run(capsys, "mixture-demo")
+        assert code == 0
+        assert "t_perp=3.14159265359 t_qsl=3.14159265359\n" in out
+
     def test_json_envelope(self, capsys):
         code, out, _ = run(capsys, "mixture-demo", "--json")
         assert code == 0
@@ -678,7 +685,7 @@ CSV_DIGESTS = {
     ("fig1",): "baba0221ea5a24c06a6d20b4c51794348d38ef7376a2616575246ee31d932875",
     ("fig1", "--limit"): "d1c658d8a10ba2baff4ccc4115481d321726a63cceecb31175949f95b9e9ae2f",
     ("ent-scan",): "d4df6fdd198195f5669e1b4da575f0378f8e21a829e97a4f7fecf165391621d1",
-    ("mixture-demo",): "f0ecf28f4c2520eebd98d3f50ba0e308d77e14bb9165f42931a3a83ed749b426",
+    ("mixture-demo",): "f7dfeab7e4527391ce4f78bfb3fe1c2d92528016296c830ab76c1bd87a04d353",
 }
 
 

@@ -452,9 +452,11 @@ class TestStructuredEigensystems:
     def test_collective_signal_merges_degenerate_levels(self, omega0, omega):
         state, h = make_collective(CollectiveSpec(9, omega0, omega))
         signal = _SurvivalSignal(state, h)
-        assert signal._freqs.size <= 2 * (9 + 1)
-        assert np.all(np.diff(signal._freqs) > 0.0)
-        assert signal._weights.sum() == pytest.approx(1.0, abs=1e-12)
+        levels = -signal._phase_rates.imag.ravel()
+        assert levels.size <= 2 * (9 + 1)
+        assert np.all(np.diff(levels) > 0.0)
+        assert signal._weights.shape == (levels.size, 1)
+        assert signal._weights.real.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

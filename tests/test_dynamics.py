@@ -160,6 +160,8 @@ class TestSurvival:
 
 
 class TestCosineSumSignal:
+    """The survival signal against the direct sum over all D^2 level pairs."""
+
     @staticmethod
     def direct_sum(rho, h, ts):
         # sum_{ab} |rho_ab|^2 exp(-i (lam_a - lam_b) t) in the eigenbasis, all D^2 terms
@@ -190,15 +192,56 @@ class TestCosineSumSignal:
                 direct = state_overlap(evolve(rho, h, float(t)), rho)
                 assert value == pytest.approx(direct, abs=1e-13)
 
-    def test_merges_equal_gaps(self, rng):
+    def test_merges_equal_levels(self, rng):
         rho, h = self.degenerate_system(rng, 9)
         signal = _SurvivalSignal(rho, h)
         evals = h.eigensystem()[0]
-        gaps = np.unique(np.abs(evals[:, None] - evals[None, :]))
-        assert gaps[0] == 0.0 and gaps.size <= 4
-        # one term per distinct positive gap, the zero gaps folded into the constant
-        assert np.array_equal(signal._freqs, gaps[1:])
+        levels = np.unique(evals)
+        assert levels.size <= 4
+        # one row of the factor per distinct eigenvalue, at most min(L, rank^2) columns
+        assert np.array_equal(signal._phase_rates.ravel(), -1j * levels)
+        assert signal._weights.shape[0] == levels.size
+        assert signal._weights.shape[1] <= min(levels.size, 9)
         assert signal.bandwidth == pytest.approx(evals.max(), abs=1e-12)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_factor_columns_bounded_by_rank_squared(self, rng, rank):
+        rho, h = random_density(rng, 16, rank=rank), random_shifted_hamiltonian(rng, 16)
+        signal = _SurvivalSignal(rho, h)
+        assert signal._weights.shape == (16, min(16, rank * rank))
+        ts = np.linspace(0.0, 9.0, 37)
+        assert_allclose(signal.evaluate(ts), self.direct_sum(rho, h, ts), rtol=0, atol=1e-13)
+
+    def test_pure_factor_is_the_level_populations(self, rng):
+        state, h = random_pure(rng, 7), random_shifted_hamiltonian(rng, 7)
+        signal = _SurvivalSignal(state, h)
+        evecs = h.eigensystem()[1]
+        populations = np.abs(evecs.conj().T @ state.amplitudes) ** 2
+        assert signal._weights.shape == (7, 1)
+        assert_allclose(signal._weights[:, 0], populations, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_commensurate_mixture_found_at_two_pi_over_k(self, rng, rank, k):
+        # rank uniform k-level superpositions on disjoint runs of an integer
+        # spectrum (random basis): each is a Dirichlet kernel with its first
+        # zero at 2*pi/k, and the cross terms vanish, so the mixture is
+        # orthogonal at exactly 2*pi/k.  A sum of squares keeps that zero sharp.
+        for _ in range(4):
+            dim = rank * k + int(rng.integers(0, 16 - rank * k + 1))
+            u = random_unitary(rng, dim)
+            h = ground_shift(Hamiltonian(SubsystemLayout((dim,)),
+                                         (u * np.arange(dim, dtype=float)) @ u.conj().T))
+            first = int(rng.integers(0, dim - rank * k + 1))
+            weights = rng.uniform(0.5, 1.5, size=rank)
+            weights /= weights.sum()
+            mat = sum(w * np.outer(v, v.conj()) for w, v in zip(
+                weights, (u[:, s:s + k].sum(axis=1) / math.sqrt(k)
+                          for s in first + k * np.arange(rank))))
+            rho = DensityMatrix(h.layout, 0.5 * (mat + mat.conj().T))
+            res = first_orthogonal_time(rho, h)
+            assert res.found
+            assert res.t_perp == pytest.approx(2.0 * math.pi / k, rel=1e-12)
 
     def test_d128_blocks_stay_within_budget(self, rng):
         rho = random_density(rng, 128)
