@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,6 +26,8 @@ from .qcore import (
     NumericalFailure,
     SeparableEnsemble,
     _in_eigenbasis,
+    _level_stats,
+    _populations,
     _require_ground_shifted,
     _require_same_layout,
     _retained_eigensystem,
@@ -154,25 +157,17 @@ def mixture_stats(ensemble: SeparableEnsemble,
                   local_hamiltonians: Sequence[Hamiltonian]) -> EnergyStats:
     """Energy statistics of a separable ensemble under non-interacting locals.
 
-    E is the weighted mean of the per-term total energies; the variance is the
-    weighted mean of the per-term quantum variances plus the classical
-    variance of the per-term totals around E.  Agrees with ``energy_stats`` on
-    the assembled global density matrix.
+    The locals' sum has the Kronecker-sum spectrum lam_i + mu_j + ..., with
+    weights sum_n w_n p_i^(n) q_j^(n) ..., products of each term's local
+    populations: the statistics of the assembled global state, unassembled.
     """
     _check_locals(ensemble, local_hamiltonians)
-    per_term_energy = []
-    per_term_var = []
-    for term in ensemble.terms:
-        stats = [energy_stats(factor, local)
-                 for factor, local in zip(term, local_hamiltonians)]
-        per_term_energy.append(math.fsum(s.energy for s in stats))
-        per_term_var.append(math.fsum(s.spread ** 2 for s in stats))
-    mean = math.fsum(p * e for p, e in zip(ensemble.weights, per_term_energy))
-    variance = math.fsum(
-        p * (v + (e - mean) ** 2)
-        for p, v, e in zip(ensemble.weights, per_term_var, per_term_energy)
-    )
-    return EnergyStats(mean, math.sqrt(max(variance, 0.0)))
+    populations = sum(
+        weight * reduce(np.multiply.outer,
+                        map(_populations, map(_in_eigenbasis, term, local_hamiltonians)))
+        for weight, term in zip(ensemble.weights, ensemble.terms))
+    spectrum = reduce(np.add.outer, (local.eigensystem()[0] for local in local_hamiltonians))
+    return _level_stats(spectrum.ravel(), populations.ravel())
 
 
 def mixed_state_bound(rho: DensityMatrix, hamiltonian: Hamiltonian) -> BoundResult:
@@ -188,8 +183,8 @@ def mixed_state_bound(rho: DensityMatrix, hamiltonian: Hamiltonian) -> BoundResu
     _require_same_layout(rho, hamiltonian)
     evals, vecs = _retained_eigensystem(rho)
     degenerate = bool((np.diff(evals) <= DEGENERACY_TOL).any())
-    # every eigenvector's <H> and ||(H - E) v||^2 from one product, as energy_stats
-    # forms them; Re(conj(a) b) = Re a Re b + Im a Im b needs no complex temporary
+    # each eigenvector's <H> and ||(H - E) v||^2 from H itself (populations would hide an
+    # eigensystem that misstates H); Re(conj(a) b) = Re a Re b + Im a Im b, no complex temporary
     hv = hamiltonian.matrix @ vecs
     energies = (np.einsum("ij,ij->j", vecs.real, hv.real)
                 + np.einsum("ij,ij->j", vecs.imag, hv.imag))

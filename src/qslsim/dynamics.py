@@ -30,8 +30,9 @@ from .qcore import (
     InvariantViolation,
     PureState,
     State,
-    energy_stats,
     _in_eigenbasis,
+    _level_stats,
+    _populations,
     _require_ground_shifted,
     _require_same_layout,
 )
@@ -178,14 +179,16 @@ class _SurvivalSignal:
 
     ``bandwidth`` is the spectral range actually populated by the state: the
     highest angular frequency in s(t), which sets the scan step.
+    ``populations`` are the state's eigenvector weights, ``energy_stats``' input.
     """
 
     def __init__(self, state: State, hamiltonian: Hamiltonian):
         evals = hamiltonian.eigensystem()[0]
-        coeffs = np.abs(_in_eigenbasis(state, hamiltonian)) ** 2
+        rotated = _in_eigenbasis(state, hamiltonian)
+        self.populations = _populations(rotated)
         levels, level = np.unique(evals, return_inverse=True)
         if isinstance(state, PureState):
-            weights = np.bincount(level, weights=coeffs)
+            weights = np.bincount(level, weights=self.populations)
             support = levels[weights > _SUPPORT_CUT]
             self.bandwidth = float(support.max() - support.min()) if support.size else 0.0
             factor = weights[:, None]
@@ -193,6 +196,7 @@ class _SurvivalSignal:
             # The widest gap between two levels that share a populated
             # coherence: populated is symmetric, so it is the largest signed
             # difference lam_a - lam_b over the populated pairs.
+            coeffs = np.abs(rotated) ** 2
             populated = coeffs > _SUPPORT_CUT
             populated = populated | populated.T
             self.bandwidth = float(np.subtract.outer(evals, evals)[populated].max(initial=0.0))
@@ -239,11 +243,8 @@ def survival(state: State, hamiltonian: Hamiltonian, t) -> float | np.ndarray:
     """
     _require_same_layout(state, hamiltonian)
     signal = _SurvivalSignal(state, hamiltonian)
-    ts = np.asarray(t, dtype=float)
-    values = signal.evaluate(np.atleast_1d(ts))
-    if ts.ndim == 0:
-        return float(values[0])
-    return values.reshape(ts.shape)
+    values = signal.evaluate(t)
+    return float(values) if values.ndim == 0 else values
 
 
 # ---------------------------------------------------------------------------
@@ -431,11 +432,12 @@ def first_orthogonal_time(state: State, hamiltonian: Hamiltonian,
     """Smallest t > 0 at which the state becomes orthogonal to itself.
 
     Requires a ground-shifted Hamiltonian (the default horizon is a multiple
-    of the speed limit time, which is only meaningful from a zero ground
-    state).  Stationary states (no populated spectral range) return NotFound
-    immediately.  The located time is accurate to ``TIME_RESOLUTION`` for pure
-    states and density matrices alike: the survival is evaluated as a sum of
-    squares, whose round-off near a zero is itself squared.
+    of ``qsl_time(energy_stats(state, H))``, taken from the signal's
+    populations, and only meaningful from a zero ground state).  Stationary
+    states (no populated spectral range) return NotFound immediately.  The
+    located time is accurate to ``TIME_RESOLUTION`` for pure states and
+    density matrices alike: the survival is evaluated as a sum of squares,
+    whose round-off near a zero is itself squared.
     """
     opts = opts if opts is not None else SearchOptions()
     if not isinstance(opts, SearchOptions):
@@ -448,7 +450,7 @@ def first_orthogonal_time(state: State, hamiltonian: Hamiltonian,
     if opts.horizon is not None:
         horizon = opts.horizon
     else:
-        bound = qsl_time(energy_stats(state, hamiltonian))
+        bound = qsl_time(_level_stats(hamiltonian.eigensystem()[0], signal.populations))
         if bound.unbounded:
             return OrthogonalityResult(False, None, signal.initial, 0.0, 0.0)
         horizon = HORIZON_MULTIPLIER * bound.time

@@ -479,6 +479,23 @@ def ground_shift(hamiltonian: Hamiltonian) -> Hamiltonian:
     return Hamiltonian._from_eigensystem(hamiltonian.layout, shifted, evals - lam0, evecs)
 
 
+def _populations(rotated: np.ndarray) -> np.ndarray:
+    """The state's weight on each eigenvector, from ``_in_eigenbasis``'s output:
+    |c_a|^2 for a pure state, Re (V^dagger rho V)_aa for a density matrix."""
+    return np.abs(rotated) ** 2 if rotated.ndim == 1 else rotated.diagonal().real
+
+
+def _level_stats(evals: np.ndarray, populations: np.ndarray) -> EnergyStats:
+    """E = sum lam_a p_a and dE = span * sqrt(sum ((lam_a - E) / span)^2 p_a), span the
+    spectral range (1 for one level): centred, and with no square above 1 to overflow."""
+    mean = float(evals @ populations)
+    if mean < -1e-8:
+        raise NumericalFailure(f"negative mean energy {mean!r} under a shifted hamiltonian")
+    span = float(evals.max() - evals.min()) or 1.0
+    variance = float(((evals - mean) / span) ** 2 @ populations)
+    return EnergyStats(max(mean, 0.0), span * math.sqrt(max(variance, 0.0)))
+
+
 def energy_stats(state: State, hamiltonian: Hamiltonian) -> EnergyStats:
     """Mean energy and spread of a state under a ground-shifted Hamiltonian.
 
@@ -487,25 +504,8 @@ def energy_stats(state: State, hamiltonian: Hamiltonian) -> EnergyStats:
     """
     _require_same_layout(state, hamiltonian)
     _require_ground_shifted(hamiltonian, "hamiltonian")
-    h = hamiltonian.matrix
-    if isinstance(state, PureState):
-        # ||(H - E) psi||^2: <H^2> - E^2 cancels a small spread at a large mean energy
-        hv = h @ state.amplitudes
-        mean = float(np.real(np.vdot(state.amplitudes, hv)))
-        residual = hv - mean * state.amplitudes
-        variance = float(np.real(np.vdot(residual, residual)))
-    else:
-        # Tr[(H - E)((H - E) rho)], centred like the pure branch, from one D x D product
-        rho = state.matrix
-        hr = h @ rho
-        mean = float(np.real(np.trace(hr)))
-        hr -= mean * rho
-        shifted = h.copy()
-        shifted.flat[:: rho.shape[0] + 1] -= mean
-        variance = float(np.real(np.einsum("ij,ji->", shifted, hr)))
-    if mean < -1e-8:
-        raise NumericalFailure(f"negative mean energy {mean!r} under a shifted hamiltonian")
-    return EnergyStats(max(mean, 0.0), math.sqrt(max(variance, 0.0)))
+    return _level_stats(hamiltonian.eigensystem()[0],
+                        _populations(_in_eigenbasis(state, hamiltonian)))
 
 
 def state_overlap(a: State, b: State) -> float:

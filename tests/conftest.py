@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from qslsim import DensityMatrix, Hamiltonian, PureState, SubsystemLayout, ground_shift
+from qslsim import (DensityMatrix, EnergyStats, Hamiltonian, NumericalFailure, PureState,
+                    SubsystemLayout, ground_shift)
 
 
 def random_pure(rng: np.random.Generator, dim: int) -> PureState:
@@ -63,6 +66,30 @@ def random_shifted_hamiltonian(rng: np.random.Generator, dim: int,
                                scale: float = 1.0) -> Hamiltonian:
     raw = Hamiltonian(SubsystemLayout((dim,)), random_hermitian(rng, dim, scale))
     return ground_shift(raw)
+
+
+def matrix_energy_stats(state, hamiltonian) -> EnergyStats:
+    """Frozen reference: ``energy_stats`` as two matrix branches, ||(H - E) psi||
+    for a pure state and Tr[(H - E)((H - E) rho)] for a density matrix."""
+    h = hamiltonian.matrix
+    if isinstance(state, PureState):
+        # ||(H - E) psi||^2: <H^2> - E^2 cancels a small spread at a large mean energy
+        hv = h @ state.amplitudes
+        mean = float(np.real(np.vdot(state.amplitudes, hv)))
+        residual = hv - mean * state.amplitudes
+        variance = float(np.real(np.vdot(residual, residual)))
+    else:
+        # Tr[(H - E)((H - E) rho)], centred like the pure branch, from one D x D product
+        rho = state.matrix
+        hr = h @ rho
+        mean = float(np.real(np.trace(hr)))
+        hr -= mean * rho
+        shifted = h.copy()
+        shifted.flat[:: rho.shape[0] + 1] -= mean
+        variance = float(np.real(np.einsum("ij,ji->", shifted, hr)))
+    if mean < -1e-8:
+        raise NumericalFailure(f"negative mean energy {mean!r} under a shifted hamiltonian")
+    return EnergyStats(max(mean, 0.0), math.sqrt(max(variance, 0.0)))
 
 
 @pytest.fixture

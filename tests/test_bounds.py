@@ -39,7 +39,7 @@ from qslsim import (
     tensor_product,
 )
 from qslsim.bounds import CHI_NEGATIVITY_SLACK, DEGENERACY_TOL, _max_bound
-from conftest import random_density, random_shifted_hamiltonian
+from conftest import matrix_energy_stats, random_density, random_shifted_hamiltonian
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -287,6 +287,47 @@ class TestMixtureStats:
             direct = energy_stats(ens.assemble(), noninteracting_hamiltonian(locals_))
             assert stats.energy == pytest.approx(direct.energy, abs=1e-9)
             assert stats.spread == pytest.approx(direct.spread, abs=1e-9)
+
+    @staticmethod
+    def per_term_stats(ensemble, local_hamiltonians):
+        # frozen reference: the law of total variance over per-term local statistics
+        per_term_energy = []
+        per_term_var = []
+        for term in ensemble.terms:
+            stats = [matrix_energy_stats(factor, local)
+                     for factor, local in zip(term, local_hamiltonians)]
+            per_term_energy.append(math.fsum(s.energy for s in stats))
+            per_term_var.append(math.fsum(s.spread ** 2 for s in stats))
+        mean = math.fsum(p * e for p, e in zip(ensemble.weights, per_term_energy))
+        variance = math.fsum(
+            p * (v + (e - mean) ** 2)
+            for p, v, e in zip(ensemble.weights, per_term_var, per_term_energy)
+        )
+        return EnergyStats(mean, math.sqrt(max(variance, 0.0)))
+
+    def test_matches_the_frozen_per_term_loop(self, rng):
+        for _ in range(40):
+            dims = [int(d) for d in rng.integers(2, 6, size=int(rng.integers(1, 4)))]
+            locals_ = [random_shifted_hamiltonian(rng, d, scale=float(rng.uniform(0.1, 100.0)))
+                       for d in dims]
+            n_terms = int(rng.integers(1, 5))
+            weights = rng.uniform(0.1, 1.0, size=n_terms)
+            terms = tuple(
+                tuple(random_density(rng, d, rank=int(rng.integers(1, d + 1))) for d in dims)
+                for _ in range(n_terms)
+            )
+            ens = SeparableEnsemble(tuple(weights / weights.sum()), terms)
+            got, ref = mixture_stats(ens, locals_), self.per_term_stats(ens, locals_)
+            span = sum(float(np.ptp(h.eigensystem()[0])) for h in locals_)
+            assert got.energy == pytest.approx(ref.energy, rel=1e-13, abs=0.0)
+            assert abs(got.spread - ref.spread) <= 1e-12 * span
+
+    @pytest.mark.parametrize("omega", [1e-150, 1e-12, 1e12, 1e150, 1e200])
+    def test_mixture_demo_scale_covariance(self, omega):
+        ens, locals_ = make_mixture_demo(omega)
+        stats = mixture_stats(ens, list(locals_))
+        assert stats.energy == pytest.approx(1.5 * omega, rel=1e-13, abs=0.0)
+        assert stats.spread == pytest.approx(0.5 * omega, rel=1e-13, abs=0.0)
 
     def test_wrong_local_count_rejected(self):
         ens, locals_ = make_mixture_demo(1.0)

@@ -668,6 +668,12 @@ class TestFrequencyScale:
         assert (code, err) == (0, "")
         assert json.loads(out)["command"] == argv[0]
 
+    @pytest.mark.parametrize("omega", ["1e160", "1e300"])
+    def test_mixture_demo_where_squared_energies_overflow(self, capsys, omega):
+        code, out, err = run(capsys, "mixture-demo", "--omega", omega, "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["t_perp"] == pytest.approx(math.pi / float(omega), rel=1e-8)
+
     def test_groups_found_at_high_frequency(self, capsys):
         argv = ["groups", "--groups", "2", "--per-group", "2", "--json"]
         _, unit, _ = run(capsys, *argv)

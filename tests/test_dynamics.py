@@ -19,6 +19,7 @@ from qslsim import (
     evolve,
     first_orthogonal_time,
     ground_shift,
+    make_grouped,
     make_psi_ent,
     qsl_time,
     scan_first_zero,
@@ -26,7 +27,7 @@ from qslsim import (
     survival,
 )
 from qslsim import dynamics
-from qslsim.dynamics import _EVAL_BUDGET, _SurvivalSignal
+from qslsim.dynamics import _EVAL_BUDGET, HORIZON_MULTIPLIER, _SurvivalSignal
 from conftest import random_density, random_pure, random_shifted_hamiltonian, random_unitary
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -447,6 +448,14 @@ class TestFirstOrthogonalTime:
         state, h = qubit_system()
         res = first_orthogonal_time(state, h)
         assert res.horizon == pytest.approx(20.0 * math.pi)
+
+    def test_default_horizon_is_the_energy_stats_bound_bit_for_bit(self, rng):
+        h = random_shifted_hamiltonian(rng, 12, scale=3.0)
+        systems = [(random_pure(rng, 12), h), (random_density(rng, 12, rank=3), h),
+                   make_grouped(2, 3, 1.0, 0.5)]
+        for state, ham in systems:
+            expected = HORIZON_MULTIPLIER * qsl_time(energy_stats(state, ham)).time
+            assert first_orthogonal_time(state, ham).horizon == expected
 
     def test_requires_ground_shifted(self):
         lay = SubsystemLayout((2,))

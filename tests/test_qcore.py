@@ -32,7 +32,8 @@ from qslsim import (
     tensor_product,
 )
 from qslsim.qcore import _HUGE_PAGE, _pairs_to_array
-from conftest import random_density, random_hermitian, random_pure, random_unitary
+from conftest import (matrix_energy_stats, random_density, random_hermitian, random_pure,
+                      random_unitary)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -360,6 +361,40 @@ class TestEnergyStats:
             assert stats.energy == pytest.approx(mean, abs=1e-10)
             assert stats.spread == pytest.approx(math.sqrt(second - mean**2), abs=1e-10)
             assert stats.energy >= 0.0 and stats.spread >= 0.0
+
+
+class TestEnergyStatsFromPopulations:
+    """One formula for every state: the statistics of the eigenbasis populations."""
+
+    @staticmethod
+    def random_cases(rng):
+        for _ in range(60):
+            dim = int(rng.integers(2, 33))
+            h = ground_shift(Hamiltonian(SubsystemLayout((dim,)), random_hermitian(
+                rng, dim, scale=float(rng.uniform(0.1, 100.0)))))
+            yield random_pure(rng, dim), h
+            yield random_density(rng, dim, rank=int(rng.integers(1, dim + 1))), h
+            evecs = h.eigensystem()[1]
+            yield PureState(h.layout, evecs[:, int(rng.integers(1, dim))]), h
+
+    def test_matches_the_frozen_matrix_branches(self, rng):
+        for state, h in self.random_cases(rng):
+            got, ref = energy_stats(state, h), matrix_energy_stats(state, h)
+            span = float(np.ptp(h.eigensystem()[0]))
+            assert got.energy == pytest.approx(ref.energy, rel=1e-13, abs=0.0)
+            assert abs(got.spread - ref.spread) <= 1e-12 * span
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-12, 1e12, 1e150, 1e200])
+    def test_scale_covariance(self, rng, scale):
+        # random_hermitian is exactly Hermitian, and so is any multiple of it
+        dim = 6
+        raw = random_hermitian(rng, dim)
+        unit = ground_shift(Hamiltonian(SubsystemLayout((dim,)), raw))
+        scaled = ground_shift(Hamiltonian(SubsystemLayout((dim,)), scale * raw))
+        for state in (random_pure(rng, dim), random_density(rng, dim)):
+            got, ref = energy_stats(state, scaled), energy_stats(state, unit)
+            assert got.energy == pytest.approx(scale * ref.energy, rel=1e-13, abs=0.0)
+            assert got.spread == pytest.approx(scale * ref.spread, rel=1e-13, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
