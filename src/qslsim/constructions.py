@@ -13,12 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import (
-    DEFAULT_SCAN_FRACTION,
-    HORIZON_MULTIPLIER,
-    OrthogonalityResult,
-    scan_first_zero,
-)
+from .dynamics import HORIZON_MULTIPLIER, OrthogonalityResult, scan_first_zero
 from .qcore import (
     DENSE_CAP,
     DensityMatrix,
@@ -38,6 +33,11 @@ _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 
 #: Columns |+> and |->, the eigenvectors of sigma_x for +1 and -1.
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
+
+#: The scalar paths accept a zero where the overlap amplitude is at most this.
+#: Its square, 1.0000000000000001e-20, is one ulp above the 1e-20 default of
+#: ``qsl groups --tol``, so the two stay separate constants.
+_AMPLITUDE_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -250,15 +250,13 @@ def collective_overlap_fn(spec: CollectiveSpec, t):
 
 
 def collective_t_perp(spec: CollectiveSpec,
-                      horizon: Optional[float] = None,
-                      amplitude_tol: float = 1e-10,
-                      scan_fraction: float = DEFAULT_SCAN_FRACTION) -> OrthogonalityResult:
+                      horizon: Optional[float] = None) -> OrthogonalityResult:
     """First zero of the collective overlap, from the scalar formula.
 
     Uses the same scan-and-refine contract as the full-matrix solver, applied
-    to |overlap|^2 with acceptance threshold ``amplitude_tol`` on the
-    amplitude.  The scalar path is exact and free of eigensolver noise, so it
-    scales to any qubit count.
+    to |overlap|^2 (supremum 1) with acceptance threshold ``_AMPLITUDE_TOL``
+    on the amplitude.  The scalar path is exact and free of eigensolver
+    noise, so it scales to any qubit count.
     """
     if horizon is None:
         horizon = HORIZON_MULTIPLIER * spec.t_qsl
@@ -266,34 +264,28 @@ def collective_t_perp(spec: CollectiveSpec,
     def squared(ts: np.ndarray) -> np.ndarray:
         return np.abs(collective_overlap_fn(spec, ts)) ** 2
 
-    return scan_first_zero(
-        squared,
-        horizon,
-        spec.bandwidth,
-        accept_tol=amplitude_tol ** 2,
-        scan_fraction=scan_fraction,
-        scale=1.0,
-    )
+    return scan_first_zero(squared, horizon, spec.bandwidth,
+                           accept_tol=_AMPLITUDE_TOL ** 2, scale=1.0)
 
 
 def grouped_t_perp(groups: int, per_group: int, omega0: float, omega: float,
-                   horizon: Optional[float] = None,
-                   amplitude_tol: float = 1e-10) -> OrthogonalityResult:
+                   horizon: Optional[float] = None) -> OrthogonalityResult:
     """First orthogonality time of the grouped model, solved per group.
 
     The group Hamiltonians commute and the initial state is a product, so the
     total survival factorizes exactly into the per-group survivals and the
     first zero of the product is the first zero of one (identical) group,
-    which is the collective model on its own qubits.  Using the group's
-    scalar overlap keeps flat product zeros sharp; locating them on the full
-    2^(G*Q) matrix is limited by the eigensolver noise floor.
+    which is the collective model on its own qubits, solved by
+    ``collective_t_perp``.  Using the group's scalar overlap keeps flat
+    product zeros sharp; locating them on the full 2^(G*Q) matrix is limited
+    by the eigensolver noise floor.
     """
     if groups < 1 or per_group < 1:
         raise InvariantViolation("groups and per_group must both be >= 1")
     group = CollectiveSpec(per_group, omega0, omega)
     if horizon is None:  # from the energy spread of all groups together
         horizon = HORIZON_MULTIPLIER * math.pi / (2.0 * math.sqrt(groups * group.variance))
-    return collective_t_perp(group, horizon=horizon, amplitude_tol=amplitude_tol)
+    return collective_t_perp(group, horizon=horizon)
 
 
 def make_grouped(groups: int, per_group: int, omega0: float, omega: float,

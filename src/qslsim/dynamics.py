@@ -49,7 +49,9 @@ _GOLDEN_XTOL = 1e-12
 #: Survival at or below this counts as orthogonal.  Survival is quadratic in
 #: amplitude near a zero, so 1e-9 corresponds to amplitude error ~3e-5.
 DEFAULT_ORTHO_TOL = 1e-9
-DEFAULT_SCAN_FRACTION = 0.25
+#: Scan step as a fraction of the half-period pi/bandwidth: at 0.25 a zero of
+#: the survival cannot slip between samples unnoticed.
+SCAN_FRACTION = 0.25
 #: Default search horizon, as a multiple of the speed limit time.
 HORIZON_MULTIPLIER = 20.0
 
@@ -61,6 +63,7 @@ _PAIR_CUT = 1e-18  # levels and factor columns whose terms stay below this are d
 #: together take at most 8 * _EVAL_BUDGET bytes (512 KiB).
 _EVAL_BUDGET = 1 << 16
 _REFINE_SUBDIVISIONS = 64
+_GOLDEN_MAX_ITER = 200
 #: NotFound minima are located to this fraction of the signal's supremum.
 _MINIMUM_RTOL = 1e-13
 _MAX_SAMPLES = 20_000_000
@@ -72,14 +75,12 @@ class SearchOptions:
     """Options for the first-orthogonality search.
 
     ``horizon=None`` resolves to ``HORIZON_MULTIPLIER`` times the speed limit
-    time of the input state.  ``scan_fraction`` is the fraction of the
-    half-period pi/bandwidth used as the scan step; at the default 0.25 a zero
-    of the survival cannot slip between samples unnoticed.
+    time of the input state; survival at or below ``ortho_tol`` counts as
+    orthogonal.
     """
 
     horizon: Optional[float] = None
     ortho_tol: float = DEFAULT_ORTHO_TOL
-    scan_fraction: float = DEFAULT_SCAN_FRACTION
 
     def __post_init__(self) -> None:
         if self.horizon is not None and not (
@@ -88,10 +89,6 @@ class SearchOptions:
             raise InvariantViolation(f"horizon must be positive and finite, got {self.horizon}")
         if not (self.ortho_tol > 0.0):
             raise InvariantViolation(f"ortho_tol must be positive, got {self.ortho_tol}")
-        if not (0.0 < self.scan_fraction <= 1.0):
-            raise InvariantViolation(
-                f"scan_fraction must be in (0, 1], got {self.scan_fraction}"
-            )
 
 
 @dataclass(frozen=True)
@@ -186,7 +183,9 @@ class _SurvivalSignal:
         evals = hamiltonian.eigensystem()[0]
         rotated = _in_eigenbasis(state, hamiltonian)
         self.populations = _populations(rotated)
-        levels, level = np.unique(evals, return_inverse=True)
+        # eigensystem() sorts the eigenvalues, so a level is a run of equal ones
+        new = np.concatenate(([True], evals[1:] != evals[:-1]))
+        levels, level = evals[new], np.cumsum(new) - 1
         if isinstance(state, PureState):
             weights = np.bincount(level, weights=self.populations)
             support = levels[weights > _SUPPORT_CUT]
@@ -252,14 +251,14 @@ def survival(state: State, hamiltonian: Hamiltonian, t) -> float | np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _golden_min(fn: Callable[[float], float], a: float, b: float, xtol: float,
-                max_iter: int = 200) -> tuple[float, float]:
+def _golden_min(fn: Callable[[float], float], a: float, b: float,
+                xtol: float) -> tuple[float, float]:
     """Golden-section minimum of fn on [a, b]; returns the best point seen."""
     x1 = b - _INV_GOLDEN * (b - a)
     x2 = a + _INV_GOLDEN * (b - a)
     f1, f2 = fn(x1), fn(x2)
     best_x, best_f = (x1, f1) if f1 <= f2 else (x2, f2)
-    for _ in range(max_iter):
+    for _ in range(_GOLDEN_MAX_ITER):
         if b - a <= xtol:
             break
         if f1 <= f2:
@@ -282,8 +281,7 @@ def _golden_min(fn: Callable[[float], float], a: float, b: float, xtol: float,
 
 
 def _refine_bracket(vec_fn: Callable[[np.ndarray], np.ndarray],
-                    a: float, b: float, accept_tol: float, curvature: float, xtol: float,
-                    subdivisions: int = _REFINE_SUBDIVISIONS):
+                    a: float, b: float, accept_tol: float, curvature: float, xtol: float):
     """Look for a zero in a candidate bracket: fine scan, then golden section.
 
     Only interior minima of the fine grid qualify: a sub-threshold value at a
@@ -295,9 +293,9 @@ def _refine_bracket(vec_fn: Callable[[np.ndarray], np.ndarray],
     are refined.  They are processed left to right so the first acceptable
     zero wins; returns (found, t, value).
     """
-    xs = np.linspace(a, b, subdivisions + 1)
+    xs = np.linspace(a, b, _REFINE_SUBDIVISIONS + 1)
     ys = vec_fn(xs)
-    dx = (b - a) / subdivisions
+    dx = (b - a) / _REFINE_SUBDIVISIONS
     mid = ys[1:-1]
     reachable = ((mid <= ys[:-2]) & (mid <= ys[2:])
                  & (mid <= accept_tol + curvature * dx * dx / 8.0))
@@ -341,17 +339,14 @@ def scan_first_zero(vec_fn: Callable[[np.ndarray], np.ndarray],
                     horizon: float,
                     bandwidth: float,
                     accept_tol: float,
-                    scan_fraction: float = DEFAULT_SCAN_FRACTION,
-                    scale: Optional[float] = None) -> OrthogonalityResult:
+                    scale: float) -> OrthogonalityResult:
     """First t in (0, horizon] where a nonnegative oscillatory signal <= tol.
 
     ``vec_fn`` maps an array of times to signal values; ``bandwidth`` is the
     largest angular frequency present and ``scale`` the signal's supremum.
-    The signal is sampled at step h <= scan_fraction * pi / bandwidth; by
-    default ``scale`` is the largest sample / (1 - bandwidth**2 * h**2 / 16),
-    which no peak between samples can exceed.  Candidate brackets, two steps
-    wide, are centered on the sampled local minima and on every sample low
-    enough that a zero could hide next to it.
+    The signal is sampled at step h <= SCAN_FRACTION * pi / bandwidth.
+    Candidate brackets, two steps wide, are centered on the sampled local
+    minima and on every sample low enough that a zero could hide next to it.
 
     Bernstein's inequality applied to s - scale/2, which lies within
     +-scale/2, gives |s''| <= curvature = bandwidth**2 * scale / 2, so the
@@ -368,12 +363,10 @@ def scan_first_zero(vec_fn: Callable[[np.ndarray], np.ndarray],
         raise InvariantViolation(f"horizon must be positive and finite, got {horizon}")
     if not (bandwidth > 0.0):
         raise InvariantViolation(f"bandwidth must be positive, got {bandwidth}")
-    if not (0.0 < scan_fraction <= 1.0):
-        raise InvariantViolation(f"scan_fraction must be in (0, 1], got {scan_fraction}")
     if not (accept_tol > 0.0):
         raise InvariantViolation(f"accept_tol must be positive, got {accept_tol}")
 
-    step_target = scan_fraction * math.pi / bandwidth
+    step_target = SCAN_FRACTION * math.pi / bandwidth
     count = max(2, int(math.ceil(horizon / step_target)))
     if count > _MAX_SAMPLES:
         raise InvariantViolation(
@@ -385,12 +378,7 @@ def scan_first_zero(vec_fn: Callable[[np.ndarray], np.ndarray],
     step = horizon / count
     # times scale as 1/frequency, so the searches stop at 1e-9 of the step if that is finer
     xtol = min(_GOLDEN_XTOL, 1e-9 * step)
-    if scale is None:
-        # A peak lies within h/2 of a sample; with s' = 0 there and
-        # |s''| <= bandwidth**2 * sup / 2, that sample is at least
-        # sup * (1 - bandwidth**2 * h**2 / 16).
-        scale = max(float(vals.max()), 1e-300) / (1.0 - (bandwidth * step) ** 2 / 16.0)
-    screen = 1.5 * (scan_fraction * math.pi / 2.0) ** 2 * scale
+    screen = 1.5 * (SCAN_FRACTION * math.pi / 2.0) ** 2 * scale
     curvature = bandwidth * bandwidth * scale / 2.0
     margin = curvature * step * step / 8.0
 
@@ -454,11 +442,5 @@ def first_orthogonal_time(state: State, hamiltonian: Hamiltonian,
         if bound.unbounded:
             return OrthogonalityResult(False, None, signal.initial, 0.0, 0.0)
         horizon = HORIZON_MULTIPLIER * bound.time
-    return scan_first_zero(
-        signal.evaluate,
-        horizon,
-        signal.bandwidth,
-        opts.ortho_tol,
-        opts.scan_fraction,
-        scale=signal.initial,
-    )
+    return scan_first_zero(signal.evaluate, horizon, signal.bandwidth, opts.ortho_tol,
+                           scale=signal.initial)

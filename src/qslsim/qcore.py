@@ -108,9 +108,11 @@ def _as_square(raw, dim: int, name: str) -> np.ndarray:
     return mat
 
 
-def _require_hermitian(mat: np.ndarray, name: str, tol: float = HERM_TOL) -> None:
+def _require_hermitian(mat: np.ndarray, name: str) -> None:
+    # HERM_TOL relative to the largest entry, and absolute where no entry
+    # exceeds 1, so density matrices keep the absolute check
     dev = float(np.abs(mat - mat.conj().T).max()) if mat.size else 0.0
-    if dev > tol:
+    if dev > HERM_TOL and dev > HERM_TOL * float(np.abs(mat).max()):
         raise InvariantViolation(f"{name} is not Hermitian (max deviation {dev:.3e})")
 
 
@@ -602,7 +604,7 @@ def _number_pairs(raw: list) -> np.ndarray | None:
 
 def _array_to_pairs(arr: np.ndarray) -> list[list[float]]:
     flat = np.asarray(arr, dtype=complex).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in flat]
+    return np.stack((flat.real, flat.imag), axis=1).tolist()
 
 
 def system_to_json(state: State, hamiltonian: Hamiltonian) -> dict:

@@ -20,13 +20,12 @@ def _fmt(x: float) -> str:
     return format(x, ".6g")
 
 
-def sweep_svg(points: Sequence[tuple[float, Optional[float], float]],
-              x_label: str = "omega/omega0",
-              y_label: str = "time") -> str:
+def sweep_svg(points: Sequence[tuple[float, Optional[float], float]]) -> str:
     """Render sweep rows (x, t_perp-or-None, t_qsl) as an SVG document.
 
     Draws the t_perp values as point markers, the t_qsl curve dashed, and
-    shades the region below t_qsl (times down there are unreachable).
+    shades the region below t_qsl (times down there are unreachable).  The
+    axes are labelled omega/omega0 and time.
     Rows without a t_perp value only contribute to the curve.
     """
     finite = [(x, tp, tq) for x, tp, tq in points
@@ -58,13 +57,12 @@ def sweep_svg(points: Sequence[tuple[float, Optional[float], float]],
     ]
 
     # forbidden region: below the bound curve, down to the time axis
-    shade = "M" + " L".join(f"{_fmt(px(x))} {_fmt(py(tq))}" for x, _, tq in finite)
-    shade += f" L{_fmt(px(finite[-1][0]))} {_fmt(py(y_lo))}"
-    shade += f" L{_fmt(px(finite[0][0]))} {_fmt(py(y_lo))} Z"
+    curve = "M" + " L".join(f"{_fmt(px(x))} {_fmt(py(tq))}" for x, _, tq in finite)
+    shade = (f"{curve} L{_fmt(px(finite[-1][0]))} {_fmt(py(y_lo))}"
+             f" L{_fmt(px(finite[0][0]))} {_fmt(py(y_lo))} Z")
     parts.append(f'<path d="{shade}" fill="#c8c8c8" stroke="none"/>')
 
     # bound curve, dashed
-    curve = "M" + " L".join(f"{_fmt(px(x))} {_fmt(py(tq))}" for x, _, tq in finite)
     parts.append(
         f'<path d="{curve}" fill="none" stroke="black" stroke-width="1.5" '
         f'stroke-dasharray="6 4"/>'
@@ -104,10 +102,10 @@ def sweep_svg(points: Sequence[tuple[float, Optional[float], float]],
         f'<text x="{_fmt(x0 - 55)}" y="{_fmt(y1 + 10)}" font-size="13">{_fmt(y_hi)}</text>'
     )
     parts.append(
-        f'<text x="{_fmt((x0 + x1) / 2)}" y="{_fmt(y0 + 40)}" font-size="14">{x_label}</text>'
+        f'<text x="{_fmt((x0 + x1) / 2)}" y="{_fmt(y0 + 40)}" font-size="14">omega/omega0</text>'
     )
     parts.append(
-        f'<text x="10" y="{_fmt((y0 + y1) / 2)}" font-size="14">{y_label}</text>'
+        f'<text x="10" y="{_fmt((y0 + y1) / 2)}" font-size="14">time</text>'
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -10,6 +10,7 @@ import pytest
 from qslsim import Hamiltonian, PureState, SubsystemLayout, dump_system, make_psi_ent
 from qslsim import EntangledChainSpec, OrthogonalityResult
 from qslsim.cli import main
+from conftest import random_unitary
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -163,6 +164,23 @@ class TestTperpCmd:
         assert payload["status"] == "Found"
         assert payload["t_perp"] == pytest.approx(math.pi, abs=1e-9)
         assert payload["ratio"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_large_entry_hamiltonian_exit_0(self, capsys, tmp_path):
+        # U diag(1e4 * (0..7)) U^H is Hermitian to round-off relative to its
+        # entries, not to an absolute 1e-12; half |0> and half |1e4> first
+        # vanishes at pi / 1e4
+        u = random_unitary(np.random.default_rng(2002), 8)
+        mat = (u * (1e4 * np.arange(8.0))) @ u.conj().T
+        assert np.abs(mat - mat.conj().T).max() > 1e-12
+        pairs = lambda arr: [[z.real, z.imag] for z in arr.reshape(-1).tolist()]
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps({"dims": [8], "amplitudes": pairs(u[:, :2].sum(axis=1) * INV_SQRT2),
+                                    "hamiltonian": pairs(mat)}))
+        code, out, err = run(capsys, "tperp", str(path), "--json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["status"] == "Found"
+        assert payload["t_perp"] == pytest.approx(math.pi / 1e4, rel=1e-8)
 
     def test_horizon_flag(self, capsys, tmp_path):
         path = tmp_path / "qubit.json"

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -205,6 +206,38 @@ class TestCosineSumSignal:
         assert signal._weights.shape[1] <= min(levels.size, 9)
         assert signal.bandwidth == pytest.approx(evals.max(), abs=1e-12)
 
+    @staticmethod
+    def frozen_unique_setup(state, h):
+        # the signal's level set-up as it was with np.unique: (phase rates, weights)
+        evals = h.eigensystem()[0]
+        rotated = dynamics._in_eigenbasis(state, h)
+        levels, level = np.unique(evals, return_inverse=True)
+        if isinstance(state, PureState):
+            factor = np.bincount(level, weights=dynamics._populations(rotated))[:, None]
+        else:
+            levels, factor = dynamics._mixed_factor(np.abs(rotated) ** 2, levels, level)
+        return -1j * levels[None, :], np.ascontiguousarray(factor, dtype=complex)
+
+    def test_level_runs_match_the_frozen_unique_setup(self, rng):
+        grouped, chain = make_grouped(2, 3, 1.0, 0.5), make_psi_ent(EntangledChainSpec(3, 3, 0.7))
+        systems = [self.degenerate_system(rng, 9), grouped, chain[:2],
+                   (random_density(rng, 64, rank=2), grouped[1]),
+                   (random_density(rng, 27, rank=4), chain[1])]
+        for dim in (5, 12, 40):
+            # exact repeats injected into a random spectrum, in a random basis
+            evals = np.sort(rng.uniform(0.0, 3.0, dim))
+            evals[rng.integers(1, dim, dim // 2)] = evals[0]
+            evals = np.sort(np.repeat(evals, rng.integers(1, 4, dim)))[:dim] - evals[0]
+            u = random_unitary(rng, dim)
+            h = Hamiltonian._from_eigensystem(SubsystemLayout((dim,)), (u * evals) @ u.conj().T,
+                                              evals, u)
+            systems += [(random_pure(rng, dim), h), (random_density(rng, dim, rank=3), h)]
+        for state, h in systems:
+            signal = _SurvivalSignal(state, h)
+            rates, weights = self.frozen_unique_setup(state, h)
+            assert np.array_equal(signal._phase_rates, rates)
+            assert np.array_equal(signal._weights, weights)
+
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_factor_columns_bounded_by_rank_squared(self, rng, rank):
         rho, h = random_density(rng, 16, rank=rank), random_shifted_hamiltonian(rng, 16)
@@ -271,19 +304,19 @@ class TestCosineSumSignal:
 class TestScanFirstZero:
     def test_cosine_squared(self):
         fn = lambda ts: np.cos(ts) ** 2
-        res = scan_first_zero(fn, horizon=10.0, bandwidth=2.0, accept_tol=1e-18)
+        res = scan_first_zero(fn, horizon=10.0, bandwidth=2.0, accept_tol=1e-18, scale=1.0)
         assert res.found
         assert res.t_perp == pytest.approx(math.pi / 2, abs=1e-10)
 
     def test_flat_high_order_zero(self):
         fn = lambda ts: np.cos(ts) ** 18
-        res = scan_first_zero(fn, horizon=10.0, bandwidth=18.0, accept_tol=1e-20)
+        res = scan_first_zero(fn, horizon=10.0, bandwidth=18.0, accept_tol=1e-20, scale=1.0)
         assert res.found
         assert res.t_perp == pytest.approx(math.pi / 2, abs=1e-10)
 
     def test_no_zero_reports_minimum(self):
         fn = lambda ts: 0.2 + np.sin(ts) ** 2
-        res = scan_first_zero(fn, horizon=7.0, bandwidth=2.0, accept_tol=1e-9)
+        res = scan_first_zero(fn, horizon=7.0, bandwidth=2.0, accept_tol=1e-9, scale=1.2)
         assert not res.found
         assert res.min_overlap == pytest.approx(0.2, abs=1e-6)
         assert res.horizon == 7.0
@@ -291,17 +324,14 @@ class TestScanFirstZero:
     def test_invalid_arguments(self):
         fn = lambda ts: np.cos(ts) ** 2
         with pytest.raises(InvariantViolation):
-            scan_first_zero(fn, horizon=-1.0, bandwidth=1.0, accept_tol=1e-9)
+            scan_first_zero(fn, horizon=-1.0, bandwidth=1.0, accept_tol=1e-9, scale=1.0)
         with pytest.raises(InvariantViolation):
-            scan_first_zero(fn, horizon=1.0, bandwidth=0.0, accept_tol=1e-9)
-        with pytest.raises(InvariantViolation):
-            scan_first_zero(fn, horizon=1.0, bandwidth=1.0, accept_tol=1e-9,
-                            scan_fraction=1.5)
+            scan_first_zero(fn, horizon=1.0, bandwidth=0.0, accept_tol=1e-9, scale=1.0)
 
     def test_returns_first_of_many_zeros(self):
         # zeros at pi/2 + k*pi; must return the first
         fn = lambda ts: np.cos(ts) ** 2
-        res = scan_first_zero(fn, horizon=50.0, bandwidth=2.0, accept_tol=1e-18)
+        res = scan_first_zero(fn, horizon=50.0, bandwidth=2.0, accept_tol=1e-18, scale=1.0)
         assert res.t_perp == pytest.approx(math.pi / 2, abs=1e-10)
 
     def test_deeper_minimum_behind_higher_sample(self):
@@ -333,27 +363,12 @@ class TestScanFirstZero:
             return original(vec_fn, a, b, accept_tol, *args)
 
         monkeypatch.setattr(dynamics, "_refine_bracket", spy)
-        res = scan_first_zero(fn, horizon=30.0, bandwidth=1.0, accept_tol=1e-12,
-                              scan_fraction=0.1, scale=1.0)
+        with mock.patch.object(dynamics, "SCAN_FRACTION", 0.1):
+            res = scan_first_zero(fn, horizon=30.0, bandwidth=1.0, accept_tol=1e-12, scale=1.0)
         assert res.found
         assert res.t_perp == pytest.approx(7.0 * math.pi, abs=1e-6)
         # only brackets of the last dip were refined one at a time
         assert refined and all(a > 6.0 * math.pi for a, _ in refined)
-
-    def test_default_scale_covers_peak_between_samples(self):
-        # 1 + cos(t - pi/8) at step pi/4 peaks halfway between the first two
-        # samples and vanishes halfway between samples 4 and 5, at 9 pi/8.
-        # With the largest sample as its supremum the margin would be too
-        # small to admit that bracket.
-        fn = lambda ts: 1.0 + np.cos(ts - math.pi / 8.0)
-        horizon = 5.0 * math.pi
-        samples = fn(np.linspace(0.0, horizon, 21))
-        res = scan_first_zero(fn, horizon=horizon, bandwidth=1.0, accept_tol=1e-9)
-        assert res.found
-        assert res.t_perp == pytest.approx(9.0 * math.pi / 8.0, abs=1e-6)
-        undersized = scan_first_zero(fn, horizon=horizon, bandwidth=1.0, accept_tol=1e-9,
-                                     scale=float(samples.max()))
-        assert not undersized.found
 
     def test_zero_capable_bracket_without_reachable_fine_minimum(self, monkeypatch):
         # 0.5 (1 + cos t) + 0.01 has a sample on its minimum 0.01 at pi, within
@@ -394,8 +409,9 @@ class TestScanFirstZero:
             c = float(w.sum()) + 0.05
             scale = c + float(w.sum())
             fn = lambda ts: c + np.cos(np.multiply.outer(ts, g)) @ w
-            res = scan_first_zero(fn, horizon=40.0, bandwidth=float(g.max()), accept_tol=1e-9,
-                                  scan_fraction=scan_fraction, scale=scale)
+            with mock.patch.object(dynamics, "SCAN_FRACTION", scan_fraction):
+                res = scan_first_zero(fn, horizon=40.0, bandwidth=float(g.max()),
+                                      accept_tol=1e-9, scale=scale)
             assert not res.found
 
             wm, gm = [mpmath.mpf(float(x)) for x in w], [mpmath.mpf(float(x)) for x in g]
@@ -411,7 +427,8 @@ class TestScanFirstZero:
     def test_min_overlap_is_survival_at_t_at_min(self, rng):
         for state in (random_density(rng, 6), random_pure(rng, 6)):
             h = random_shifted_hamiltonian(rng, 6)
-            res = first_orthogonal_time(state, h, SearchOptions(horizon=20.0, scan_fraction=0.05))
+            with mock.patch.object(dynamics, "SCAN_FRACTION", 0.05):
+                res = first_orthogonal_time(state, h, SearchOptions(horizon=20.0))
             assert not res.found
             assert abs(survival(state, h, res.t_at_min) - res.min_overlap) <= 1e-15
 
@@ -538,7 +555,3 @@ class TestFirstOrthogonalTime:
             SearchOptions(horizon=-1.0)
         with pytest.raises(InvariantViolation):
             SearchOptions(ortho_tol=0.0)
-        with pytest.raises(InvariantViolation):
-            SearchOptions(scan_fraction=0.0)
-        with pytest.raises(InvariantViolation):
-            SearchOptions(scan_fraction=1.5)

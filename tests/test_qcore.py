@@ -31,6 +31,7 @@ from qslsim import (
     system_to_json,
     tensor_product,
 )
+from qslsim import qcore
 from qslsim.qcore import _HUGE_PAGE, _pairs_to_array
 from conftest import (matrix_energy_stats, random_density, random_hermitian, random_pure,
                       random_unitary)
@@ -105,6 +106,27 @@ class TestTypeInvariants:
         lay = SubsystemLayout((2,))
         with pytest.raises(InvariantViolation, match="Hermitian"):
             Hamiltonian(lay, np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_hermitian_check_is_relative_to_the_largest_entry(self, rng):
+        # U diag(1e4 * (0..7)) U^H carries round-off asymmetry of ~1e-16 of its
+        # largest entry, above 1e-12 in absolute terms; a real asymmetry of
+        # 1e-6 (~1e-11 relative) is still rejected
+        lay = SubsystemLayout((8,))
+        deviations = []
+        for _ in range(50):
+            u = random_unitary(rng, 8)
+            mat = (u * (1e4 * np.arange(8.0))) @ u.conj().T
+            deviations.append(np.abs(mat - mat.conj().T).max())
+            Hamiltonian(lay, mat)
+            mat[0, 1] += 1e-6
+            with pytest.raises(InvariantViolation, match="Hermitian"):
+                Hamiltonian(lay, mat)
+        assert max(deviations) > 1e-12
+
+    def test_density_matrix_keeps_the_absolute_hermitian_check(self):
+        lay = SubsystemLayout((2,))
+        with pytest.raises(InvariantViolation, match="Hermitian"):
+            DensityMatrix(lay, np.array([[0.5, 2e-12], [0.0, 0.5]]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
     def test_non_finite_entries_rejected(self, bad):
@@ -581,6 +603,24 @@ class TestJson:
                 "dims": [2], "amplitudes": [[1, 0], [0, 0]],
                 "hamiltonian": [[0, 0]] * 3,
             })
+
+    def test_dump_matches_the_frozen_per_element_loop(self, tmp_path, monkeypatch):
+        # -0.0, subnormals and 1e300 written by the loop that used to convert
+        # each entry and by today's bulk conversion: the files are byte-identical
+        lay = SubsystemLayout((2,))
+        rho = DensityMatrix(lay, np.array([[1.0, complex(5e-324, -0.0)],
+                                           [complex(5e-324, 0.0), complex(-0.0, 0.0)]]))
+        h = Hamiltonian(lay, np.array([[0.0, complex(-0.0, 2.5e-310)],
+                                       [complex(-0.0, -2.5e-310), 1e300]]))
+        new = tmp_path / "new.json"
+        dump_system(rho, h, new)
+        text = new.read_text()
+        assert "-0.0" in text and "5e-324" in text and "2.5e-310" in text and "1e+300" in text
+        frozen = tmp_path / "frozen.json"
+        monkeypatch.setattr(qcore, "_array_to_pairs", lambda arr: [
+            [float(z.real), float(z.imag)] for z in np.asarray(arr, dtype=complex).reshape(-1)])
+        dump_system(rho, h, frozen)
+        assert frozen.read_bytes() == new.read_bytes()
 
     def test_bulk_conversion_matches_pairwise(self, rng):
         raw = [[float(re), float(im)] for re, im in rng.standard_normal((64, 2))]

@@ -15,6 +15,7 @@ orthogonalize, so they exercise the minimum alone.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,9 +37,10 @@ from qslsim import (
     qsl_time,
     survival,
 )
+from qslsim import constructions, dynamics
 from qslsim.dynamics import (
-    DEFAULT_SCAN_FRACTION,
     HORIZON_MULTIPLIER,
+    SCAN_FRACTION,
     TIME_RESOLUTION,
     _SurvivalSignal,
 )
@@ -124,13 +126,19 @@ def reference_scan(vec_fn, horizon, bandwidth, accept_tol, scan_fraction, scale)
     return False, None, max(best_val, 0.0), best_t
 
 
-def reference_first_orthogonal_time(state, hamiltonian, opts):
+def reference_first_orthogonal_time(state, hamiltonian, opts, scan_fraction):
     signal = _SurvivalSignal(state, hamiltonian)
     if signal.bandwidth <= 1e-12:
         return False, None, signal.initial, 0.0
     horizon = HORIZON_MULTIPLIER * qsl_time(energy_stats(state, hamiltonian)).time
     return reference_scan(signal.evaluate, horizon, signal.bandwidth, opts.ortho_tol,
-                          opts.scan_fraction, signal.initial)
+                          scan_fraction, signal.initial)
+
+
+def solve_at(scan_fraction, solve, *args):
+    """``solve(*args)`` with the solver's scan step set to ``scan_fraction``."""
+    with mock.patch.object(dynamics, "SCAN_FRACTION", scan_fraction):
+        return solve(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +192,9 @@ def assert_same_answer(result, reference, purity, mixed_state):
         assert result.min_overlap <= min_overlap + 1e-12 * purity
 
 
-#: Scan fractions from the finest the tests use to the coarsest allowed,
-#: with the default among them.
-scan_fractions = st.one_of(st.just(0.05), st.just(DEFAULT_SCAN_FRACTION), st.floats(0.05, 1.0))
+#: Scan fractions from the finest the tests use to a step of one half-period,
+#: with the solver's own among them.
+scan_fractions = st.one_of(st.just(0.05), st.just(SCAN_FRACTION), st.floats(0.05, 1.0))
 
 
 class TestAgainstSequentialScan:
@@ -206,9 +214,9 @@ class TestAgainstSequentialScan:
             dim = 4
         rank = 1 + int(rank_fraction * (dim - 1))
         state, h = random_system(seed, dim, mixed, commensurate, rank)
-        opts = SearchOptions(ortho_tol=10.0 ** ortho_exponent, scan_fraction=scan_fraction)
-        result = first_orthogonal_time(state, h, opts)
-        reference = reference_first_orthogonal_time(state, h, opts)
+        opts = SearchOptions(ortho_tol=10.0 ** ortho_exponent)
+        result = solve_at(scan_fraction, first_orthogonal_time, state, h, opts)
+        reference = reference_first_orthogonal_time(state, h, opts, scan_fraction)
         mixed_state = isinstance(state, DensityMatrix)
         purity = float(np.vdot(state.matrix, state.matrix).real) if mixed_state else 1.0
         assert_same_answer(result, reference, purity, mixed_state)
@@ -222,9 +230,9 @@ class TestAgainstSequentialScan:
     @example(seed=1272494, dim=8, scan_fraction=0.25)
     def test_same_minimum_on_full_rank_states(self, seed, dim, scan_fraction):
         state, h = random_system(seed, dim, True, False, dim)
-        opts = SearchOptions(scan_fraction=scan_fraction)
-        result = first_orthogonal_time(state, h, opts)
-        reference = reference_first_orthogonal_time(state, h, opts)
+        opts = SearchOptions()
+        result = solve_at(scan_fraction, first_orthogonal_time, state, h, opts)
+        reference = reference_first_orthogonal_time(state, h, opts, scan_fraction)
         purity = float(np.vdot(state.matrix, state.matrix).real)
         assert_same_answer(result, reference, purity, True)
 
@@ -240,8 +248,8 @@ class TestAgainstSequentialScan:
                                              amplitude_exponent, scan_fraction):
         spec = CollectiveSpec(qubits, omega0, ratio * omega0)
         amplitude_tol = 10.0 ** amplitude_exponent
-        result = collective_t_perp(spec, amplitude_tol=amplitude_tol,
-                                   scan_fraction=scan_fraction)
+        with mock.patch.object(constructions, "_AMPLITUDE_TOL", amplitude_tol):
+            result = solve_at(scan_fraction, collective_t_perp, spec)
         reference = reference_scan(
             lambda ts: np.abs(collective_overlap_fn(spec, ts)) ** 2,
             HORIZON_MULTIPLIER * spec.t_qsl,
@@ -260,12 +268,12 @@ def test_minimum_inside_the_last_cell():
     # bandwidth^2 * purity / 2 the signal lies at most curvature * dx^2 / 8
     # below the lowest grid value.
     state, h = random_system(1272494, 8, True, False, 8)
-    opts = SearchOptions(scan_fraction=0.25)
-    result = first_orthogonal_time(state, h, opts)
+    opts = SearchOptions()
+    result = solve_at(0.25, first_orthogonal_time, state, h, opts)
     assert not result.found
     ts = np.linspace(0.0, result.horizon, 2_000_001)
     lowest = float(survival(state, h, ts).min())
-    _, _, reference_min, reference_t = reference_first_orthogonal_time(state, h, opts)
+    _, _, reference_min, reference_t = reference_first_orthogonal_time(state, h, opts, 0.25)
     assert reference_t == result.horizon and reference_min > lowest
     purity = float(np.vdot(state.matrix, state.matrix).real)
     curvature = _SurvivalSignal(state, h).bandwidth ** 2 * purity / 2.0
