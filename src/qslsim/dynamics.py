@@ -190,7 +190,11 @@ class _SurvivalSignal:
             weights = np.bincount(level, weights=self.populations)
             support = levels[weights > _SUPPORT_CUT]
             self.bandwidth = float(support.max() - support.min()) if support.size else 0.0
-            factor = weights[:, None]
+            # A positive weight whose square underflows adds nothing to s(t), but its
+            # phases may overflow: E >= w * lam bounds horizon * lam only by ~10 pi / w.
+            # Exact zeros stay, so the other levels' sums keep their order.
+            kept = (weights == 0.0) | (weights * weights > 0.0)
+            levels, factor = levels[kept], weights[kept, None]
         else:
             # The widest gap between two levels that share a populated
             # coherence: populated is symmetric, so it is the largest signed
@@ -281,16 +285,16 @@ def _golden_min(fn: Callable[[float], float], a: float, b: float,
 
 
 def _refine_bracket(vec_fn: Callable[[np.ndarray], np.ndarray],
-                    a: float, b: float, accept_tol: float, curvature: float, xtol: float):
+                    a: float, b: float, accept_tol: float, rate: float, xtol: float):
     """Look for a zero in a candidate bracket: fine scan, then golden section.
 
     Only interior minima of the fine grid qualify: a sub-threshold value at a
     bracket edge is not evidence of a zero there (very flat zeros have wide
     sub-threshold valleys), and edge zeros are always centered in one of the
     neighboring, overlapping candidate brackets.  A signal with
-    |s''| <= curvature lies at most curvature * dx**2 / 8 below the lower of
-    two fine samples dx apart, so only minima within that of ``accept_tol``
-    are refined.  They are processed left to right so the first acceptable
+    |s''| <= rate**2 lies at most (rate * dx)**2 / 8 below the lower of two
+    fine samples dx apart, so only minima within that of ``accept_tol`` are
+    refined.  They are processed left to right so the first acceptable
     zero wins; returns (found, t, value).
     """
     xs = np.linspace(a, b, _REFINE_SUBDIVISIONS + 1)
@@ -298,7 +302,7 @@ def _refine_bracket(vec_fn: Callable[[np.ndarray], np.ndarray],
     dx = (b - a) / _REFINE_SUBDIVISIONS
     mid = ys[1:-1]
     reachable = ((mid <= ys[:-2]) & (mid <= ys[2:])
-                 & (mid <= accept_tol + curvature * dx * dx / 8.0))
+                 & (mid <= accept_tol + (rate * dx) ** 2 / 8.0))
     scalar = lambda x: float(vec_fn(np.array([x]))[0])
     for j in np.flatnonzero(reachable) + 1:
         t, value = _golden_min(scalar, float(xs[j - 1]), float(xs[j + 1]), xtol)
@@ -309,19 +313,19 @@ def _refine_bracket(vec_fn: Callable[[np.ndarray], np.ndarray],
 
 def _lower_minimum(vec_fn: Callable[[np.ndarray], np.ndarray],
                    lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarray,
-                   curvature: float, tol: float, xtol: float,
+                   rate: float, tol: float, xtol: float,
                    best_t: float, best_val: float) -> tuple[float, float]:
     """Lower (best_t, best_val) to within ``tol`` of the minimum over the cells.
 
     Branch and bound (Piyavskii-Shubert with a curvature bound): on a cell
-    [lo, hi] with end values f_lo, f_hi a signal with |s''| <= curvature lies
-    at most curvature * (hi - lo)**2 / 8 below min(f_lo, f_hi).  Cells whose
+    [lo, hi] with end values f_lo, f_hi a signal with |s''| <= rate**2 lies
+    at most (rate * (hi - lo))**2 / 8 below min(f_lo, f_hi).  Cells whose
     bound is not below ``best_val - tol``, or that are at most ``xtol`` wide,
     are dropped; the others are bisected, one ``vec_fn`` call per level.
     """
     while True:
         width = hi - lo
-        live = ((np.minimum(f_lo, f_hi) - curvature * width * width / 8.0 < best_val - tol)
+        live = ((np.minimum(f_lo, f_hi) - (rate * width) ** 2 / 8.0 < best_val - tol)
                 & (width > xtol))
         if not live.any():
             return best_t, best_val
@@ -349,9 +353,11 @@ def scan_first_zero(vec_fn: Callable[[np.ndarray], np.ndarray],
     minima and on every sample low enough that a zero could hide next to it.
 
     Bernstein's inequality applied to s - scale/2, which lies within
-    +-scale/2, gives |s''| <= curvature = bandwidth**2 * scale / 2, so the
-    signal lies at most margin = curvature * h**2 / 8 below its nearest
-    sample.  Brackets whose lowest sample is at or below
+    +-scale/2, gives |s''| <= rate**2 with rate = bandwidth * sqrt(scale / 2),
+    so the signal lies at most margin = (rate * h)**2 / 8 below its nearest
+    sample.  Every such bound is evaluated as (rate * width)**2 / 8: rate * h
+    is of order one at any frequency, so no finite bandwidth or scale
+    overflows it.  Brackets whose lowest sample is at or below
     ``accept_tol + margin`` may hold a zero: they are searched one at a time,
     in time order, by a fine scan plus golden-section search on the fine
     minima that can still reach ``accept_tol``, and the first refined value
@@ -367,20 +373,21 @@ def scan_first_zero(vec_fn: Callable[[np.ndarray], np.ndarray],
         raise InvariantViolation(f"accept_tol must be positive, got {accept_tol}")
 
     step_target = SCAN_FRACTION * math.pi / bandwidth
-    count = max(2, int(math.ceil(horizon / step_target)))
-    if count > _MAX_SAMPLES:
+    samples = horizon / step_target  # inf where it overflows, which ceil cannot take
+    if samples > _MAX_SAMPLES:
         raise InvariantViolation(
-            f"scanning horizon {horizon} at bandwidth {bandwidth} needs {count} "
+            f"scanning horizon {horizon} at bandwidth {bandwidth} needs {samples:.3g} "
             f"samples (max {_MAX_SAMPLES}); shorten the horizon"
         )
+    count = max(2, int(math.ceil(samples)))
     ts = np.linspace(0.0, horizon, count + 1)
     vals = vec_fn(ts)
     step = horizon / count
     # times scale as 1/frequency, so the searches stop at 1e-9 of the step if that is finer
     xtol = min(_GOLDEN_XTOL, 1e-9 * step)
     screen = 1.5 * (SCAN_FRACTION * math.pi / 2.0) ** 2 * scale
-    curvature = bandwidth * bandwidth * scale / 2.0
-    margin = curvature * step * step / 8.0
+    rate = bandwidth * math.sqrt(scale / 2.0)
+    margin = (rate * step) ** 2 / 8.0
 
     inner = vals[1:count]
     dips = ((inner <= vals[:count - 1]) & (inner <= vals[2:])) | (inner <= screen)
@@ -393,7 +400,7 @@ def scan_first_zero(vec_fn: Callable[[np.ndarray], np.ndarray],
 
     for i, j in zip(candidates[zero_capable], right[zero_capable]):
         found, t, value = _refine_bracket(
-            vec_fn, float(ts[i - 1]), float(ts[j]), accept_tol, curvature, xtol
+            vec_fn, float(ts[i - 1]), float(ts[j]), accept_tol, rate, xtol
         )
         if found:
             return OrthogonalityResult(True, t, max(value, 0.0), t, horizon)
@@ -410,7 +417,7 @@ def scan_first_zero(vec_fn: Callable[[np.ndarray], np.ndarray],
     interior = int(np.argmin(vals[1:])) + 1
     best_t, best_val = _lower_minimum(
         vec_fn, ts[cells], ts[cells + 1], vals[cells], vals[cells + 1],
-        curvature, _MINIMUM_RTOL * scale, xtol, float(ts[interior]), float(vals[interior]),
+        rate, _MINIMUM_RTOL * scale, xtol, float(ts[interior]), float(vals[interior]),
     )
     return OrthogonalityResult(False, None, max(best_val, 0.0), best_t, horizon)
 

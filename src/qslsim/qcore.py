@@ -82,38 +82,24 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _require_finite(arr: np.ndarray, name: str) -> None:
+def _checked(raw, shape: tuple[int, ...], name: str, hermitian: bool = False) -> np.ndarray:
+    """``raw`` as a complex array of ``shape`` with finite entries, and Hermitian
+    when asked: within HERM_TOL relative to the largest entry, and absolute where
+    no entry exceeds 1, so density matrices keep the absolute check."""
+    arr = np.asarray(raw, dtype=complex)
+    if arr.shape != shape:
+        kind = (f"complex vector of length {shape[0]}" if len(shape) == 1
+                else f"{shape[0]}x{shape[1]} complex matrix")
+        raise InvariantViolation(f"{name}: expected a {kind}, got shape {arr.shape}")
     # The invariant checks compare `deviation > tol`, which is false for NaN.
     if not np.isfinite(arr).all():
         raise InvariantViolation(f"{name} has a non-finite entry (NaN or infinity)")
-
-
-def _as_vector(raw, dim: int, name: str) -> np.ndarray:
-    vec = np.asarray(raw, dtype=complex)
-    if vec.ndim != 1 or vec.shape[0] != dim:
-        raise InvariantViolation(
-            f"{name}: expected a complex vector of length {dim}, got shape {vec.shape}"
-        )
-    _require_finite(vec, name)
-    return vec
-
-
-def _as_square(raw, dim: int, name: str) -> np.ndarray:
-    mat = np.asarray(raw, dtype=complex)
-    if mat.ndim != 2 or mat.shape != (dim, dim):
-        raise InvariantViolation(
-            f"{name}: expected a {dim}x{dim} complex matrix, got shape {mat.shape}"
-        )
-    _require_finite(mat, name)
-    return mat
-
-
-def _require_hermitian(mat: np.ndarray, name: str) -> None:
-    # HERM_TOL relative to the largest entry, and absolute where no entry
-    # exceeds 1, so density matrices keep the absolute check
-    dev = float(np.abs(mat - mat.conj().T).max()) if mat.size else 0.0
-    if dev > HERM_TOL and dev > HERM_TOL * float(np.abs(mat).max()):
-        raise InvariantViolation(f"{name} is not Hermitian (max deviation {dev:.3e})")
+    if hermitian:
+        with np.errstate(over="ignore"):  # an infinite deviation fails the check
+            dev = float(np.abs(arr - arr.conj().T).max())
+        if dev > HERM_TOL and dev > HERM_TOL * float(np.abs(arr).max()):
+            raise InvariantViolation(f"{name} is not Hermitian (max deviation {dev:.3e})")
+    return arr
 
 
 def _eigh(mat: np.ndarray, name: str):
@@ -172,8 +158,9 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        vec = _as_vector(self.amplitudes, self.layout.total_dim, "amplitudes")
-        norm = float(np.linalg.norm(vec))
+        vec = _checked(self.amplitudes, (self.layout.total_dim,), "amplitudes")
+        with np.errstate(over="ignore"):  # an infinite norm fails the check
+            norm = float(np.linalg.norm(vec))
         if abs(norm - 1.0) > NORM_TOL:
             raise InvariantViolation(f"state norm is {norm!r}, expected 1 within {NORM_TOL}")
         object.__setattr__(self, "amplitudes", _freeze(vec))
@@ -187,9 +174,9 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = _as_square(self.matrix, self.layout.total_dim, "density matrix")
-        _require_hermitian(mat, "density matrix")
-        tr = complex(np.trace(mat))
+        mat = _checked(self.matrix, (self.layout.total_dim,) * 2, "density matrix", hermitian=True)
+        with np.errstate(over="ignore"):  # an infinite trace fails the check
+            tr = complex(np.trace(mat))
         if abs(tr - 1.0) > TRACE_TOL:
             raise InvariantViolation(f"density matrix trace is {tr!r}, expected 1")
         try:
@@ -224,13 +211,9 @@ class Hamiltonian:
     ground_energy: float = field(init=False)
 
     def __post_init__(self) -> None:
-        mat = _as_square(self.matrix, self.layout.total_dim, "hamiltonian")
-        _require_hermitian(mat, "hamiltonian")
+        mat = _checked(self.matrix, (self.layout.total_dim,) * 2, "hamiltonian", hermitian=True)
         evals, evecs = _eigh(mat, "hamiltonian")
-        object.__setattr__(self, "matrix", _freeze(mat))
-        object.__setattr__(self, "ground_energy", float(evals[0]))
-        object.__setattr__(self, "_evals", evals)
-        object.__setattr__(self, "_evecs", evecs)
+        self._install(_freeze(mat), evals, evecs)  # the copy after eigh keeps the peak low
 
     @classmethod
     def _from_eigensystem(
@@ -242,19 +225,28 @@ class Hamiltonian:
     ) -> "Hamiltonian":
         # Internal fast path for matrices whose decomposition is already known
         # (e.g. a ground shift, which only slides the spectrum).  Callers hand
-        # over a fresh matrix, which is frozen in place rather than copied.
-        frozen = np.asarray(matrix, dtype=complex)
-        frozen.flags.writeable = False
+        # over fresh arrays, which are frozen in place rather than copied.
         obj = object.__new__(cls)
         object.__setattr__(obj, "layout", layout)
-        object.__setattr__(obj, "matrix", frozen)
-        object.__setattr__(obj, "ground_energy", float(evals[0]))
-        object.__setattr__(obj, "_evals", evals)
-        object.__setattr__(obj, "_evecs", evecs)
+        obj._install(np.asarray(matrix, dtype=complex), evals, evecs)
         return obj
 
+    def _install(self, matrix: np.ndarray, evals: np.ndarray, evecs: np.ndarray) -> None:
+        # Python floats: the subtraction gives inf where numpy would warn.  A
+        # finite range keeps every shifted diagonal, within [0, range], finite.
+        if not math.isfinite(float(evals[-1]) - float(evals[0])):
+            raise InvariantViolation(f"hamiltonian spectral range exceeds the float range "
+                                     f"(eigenvalues {float(evals[0])!r} to {float(evals[-1])!r})")
+        for arr in (matrix, evals, evecs):
+            arr.flags.writeable = False
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "ground_energy", float(evals[0]))
+        object.__setattr__(self, "_evals", evals)
+        object.__setattr__(self, "_evecs", evecs)
+
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending eigenvalues and the matching orthonormal eigenvector columns."""
+        """Ascending eigenvalues and the matching orthonormal eigenvector columns,
+        both read-only."""
         return self._evals, self._evecs  # type: ignore[attr-defined]
 
     @property
@@ -375,7 +367,8 @@ def tensor_product(factors: Sequence[Sequence[complex]],
         vec = np.asarray(factor, dtype=complex)
         if vec.ndim != 1 or vec.size == 0:
             raise InvariantViolation(f"factor {k} is not a nonempty vector")
-        norm = float(np.linalg.norm(vec))
+        with np.errstate(over="ignore"):  # an infinite norm fails the check
+            norm = float(np.linalg.norm(vec))
         if abs(norm - 1.0) > NORM_TOL:
             raise InvariantViolation(f"factor {k} has norm {norm!r}, expected 1")
         vecs.append(vec)
@@ -412,8 +405,7 @@ def embed_local(op, site: int, layout: SubsystemLayout) -> np.ndarray:
             f"site {site} out of range for {layout.num_subsystems} subsystems"
         )
     local_dim = layout.dims[site]
-    mat = _as_square(op, local_dim, f"local operator at site {site}")
-    _require_hermitian(mat, f"local operator at site {site}")
+    mat = _checked(op, (local_dim, local_dim), f"local operator at site {site}", hermitian=True)
     out = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
     _add_local(out, mat, site, layout.dims)
     return out

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from qslsim import Hamiltonian, PureState, SubsystemLayout, dump_system, make_psi_ent
 from qslsim import EntangledChainSpec, OrthogonalityResult
@@ -164,6 +166,13 @@ class TestTperpCmd:
         assert payload["status"] == "Found"
         assert payload["t_perp"] == pytest.approx(math.pi, abs=1e-9)
         assert payload["ratio"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_horizon_beyond_the_float_range_of_samples_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "qubit.json"
+        write_saturating_qubit(path)
+        code, out, err = run(capsys, "tperp", str(path), "--horizon", "1.5e308")
+        assert (code, out) == (3, "")
+        assert err.startswith("invalid input: scanning horizon") and err.count("\n") == 1
 
     def test_large_entry_hamiltonian_exit_0(self, capsys, tmp_path):
         # U diag(1e4 * (0..7)) U^H is Hermitian to round-off relative to its
@@ -700,6 +709,106 @@ class TestFrequencyScale:
         payload = json.loads(out)
         assert payload["status"] == "Found"
         assert payload["ratio"] == pytest.approx(json.loads(unit)["ratio"], rel=1e-9)
+
+    def test_mixture_demo_short_of_its_zero_at_extreme_frequency(self, capsys):
+        # a bandwidth of 1e300 squared overflows: the solver's bound is formed
+        # as (rate * step)^2 so that branch and bound stays finite
+        code, out, err = run(capsys, "mixture-demo", "--omega", "1e300", "--horizon", "2e-300")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("numerical failure: mixture demo: measured t_perp None")
+        assert err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# fuzzed tperp files
+# ---------------------------------------------------------------------------
+
+#: Small values, a subnormal, and magnitudes whose squares, sums or
+#: differences overflow.
+_ENTRIES = (0.0, 0.5, -0.5, 1.0, -1.0, 1e-320, 1e154, -1e154, 1e200, 1e300, -1e300,
+            1e308, -1e308)
+_PAIRS = st.tuples(st.sampled_from(_ENTRIES), st.sampled_from(_ENTRIES)).map(list)
+
+
+@st.composite
+def tperp_systems(draw):
+    """A wire-format system of dimension 1-3: a drawn or a valid pure state or
+    density matrix, and a Hermitian Hamiltonian, or one with an entry nudged
+    within or past the Hermitian tolerance or redrawn, entries from ``_ENTRIES``."""
+    dim = draw(st.integers(1, 3))
+
+    def hermitian():
+        rows = [[None] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j in range(i, dim):
+                re, im = draw(_PAIRS) if i < j else (draw(st.sampled_from(_ENTRIES)), 0.0)
+                rows[i][j], rows[j][i] = [re, im], [re, -im]
+        i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        change = draw(st.sampled_from([None, 1e-13, 1e-11, "redraw"]))
+        if change == "redraw":
+            rows[i][j] = draw(_PAIRS)
+        elif change:
+            rows[i][j] = [rows[i][j][0] + change * max(1.0, abs(rows[i][j][0])), rows[i][j][1]]
+        return [pair for row in rows for pair in row]
+
+    kind = draw(st.sampled_from(["amplitudes", "basis", "matrix", "maximally mixed"]))
+    system = {"dims": [dim]}
+    if kind == "amplitudes":
+        system["amplitudes"] = [draw(_PAIRS) for _ in range(dim)]
+    elif kind == "basis":
+        system["amplitudes"] = [[1.0, 0.0] if i == 0 else [0.0, 0.0] for i in range(dim)]
+    elif kind == "matrix":
+        system["matrix"] = hermitian()
+    else:
+        system["matrix"] = [[1.0 / dim if i == j else 0.0, 0.0]
+                            for i in range(dim) for j in range(dim)]
+    system["hamiltonian"] = hermitian()
+    return system
+
+
+_WIDE_BANDWIDTH_FILE = {"dims": [2], "amplitudes": [[1, 0], [0, 0]],
+               "hamiltonian": [[1e300, 0], [1e300, 0], [1e300, 0], [-1e300, 0]]}
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(system=tperp_systems(), as_json=st.booleans())
+# a bandwidth of 2.8e300, where the squared bandwidth overflows
+@example(system=_WIDE_BANDWIDTH_FILE, as_json=False)
+# overflow in the norm, the trace and the spectral range
+@example(system={"dims": [2], "amplitudes": [[1e200, 0], [0, 0]],
+                 "hamiltonian": [[0, 0], [0, 0], [0, 0], [1, 0]]}, as_json=False)
+@example(system={"dims": [2], "matrix": [[1e308, 0], [0, 0], [0, 0], [1e308, 0]],
+                 "hamiltonian": [[0, 0], [0, 0], [0, 0], [1, 0]]}, as_json=False)
+@example(system={"dims": [3], "amplitudes": [[1, 0], [0, 0], [0, 0]],
+                 "hamiltonian": [[x, 0] for x in (1e308, 1e308, 1e308, 1e308, 1e308, -1e308,
+                                                  1e308, -1e308, 1e308)]}, as_json=False)
+# a weight of ~1e-308 on a level at 1e308, whose phases would overflow
+@example(system={"dims": [3], "amplitudes": [[1, 0], [0, 0], [0, 0]],
+                 "hamiltonian": [[0, 0], [-1e154, -0.5], [0.5, -1], [-1e154, 0.5], [1e308, 0],
+                                 [-1e154, -0.5], [0.5, 1], [-1e154, 0.5], [1.0000000000001, 0]]},
+         as_json=False)
+def test_tperp_file_ends_in_an_exit_code(capsys, tmp_path, system, as_json):
+    # tier-1 turns numpy warnings into errors, so a warning fails here too
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system))
+    code, _, err = run(capsys, "tperp", str(path), *(["--json"] if as_json else []))
+    assert code in (0, 2, 3, 4)
+    assert err.count("\n") <= 1
+    assert (code == 0) == (err == "")
+
+
+def test_tperp_at_extreme_bandwidth_reports_its_minimum(capsys, tmp_path):
+    # NotFound: the survival of |0> under 1e300 [[1, 1], [1, -1]] bottoms out
+    # at (p1 - p0)^2 = 1/2, its eigenbasis populations being cos^2 and sin^2 of pi/8
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(_WIDE_BANDWIDTH_FILE))
+    code, out, err = run(capsys, "tperp", str(path), "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["status"] == "NotFound"
+    assert payload["min_overlap"] == pytest.approx(0.5, abs=1e-15)
 
 
 #: SHA-256 of the CSV each invocation writes with its default options.  The

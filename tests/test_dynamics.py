@@ -328,6 +328,28 @@ class TestScanFirstZero:
         with pytest.raises(InvariantViolation):
             scan_first_zero(fn, horizon=1.0, bandwidth=0.0, accept_tol=1e-9, scale=1.0)
 
+    @pytest.mark.parametrize("horizon", [1e9, 1.5e308])
+    def test_horizon_beyond_the_sample_cap_is_invalid(self, horizon):
+        # at 1.5e308 the sample count itself overflows to inf
+        fn = lambda ts: np.cos(ts) ** 2
+        with pytest.raises(InvariantViolation, match="shorten the horizon"):
+            scan_first_zero(fn, horizon=horizon, bandwidth=2.0, accept_tol=1e-9, scale=1.0)
+
+    @pytest.mark.parametrize("omega", [1.0, 1e160, 1e300])
+    def test_bound_stays_finite_at_any_bandwidth(self, omega):
+        # squared, a bandwidth above ~1.3e154 overflows the Bernstein bound to
+        # inf: every branch-and-bound cell then stays live down to xtol and the
+        # cell arrays double at each level until memory runs out
+        def fn(ts):
+            assert np.size(ts) <= 100_000, "branch and bound kept every cell"
+            return 0.6 + 0.4 * np.cos(omega * ts)
+
+        res = scan_first_zero(fn, horizon=10.0 / omega, bandwidth=omega,
+                              accept_tol=1e-9, scale=1.0)
+        assert not res.found
+        assert res.min_overlap == pytest.approx(0.2, abs=1e-12)
+        assert res.t_at_min * omega == pytest.approx(math.pi, rel=1e-6)
+
     def test_returns_first_of_many_zeros(self):
         # zeros at pi/2 + k*pi; must return the first
         fn = lambda ts: np.cos(ts) ** 2
@@ -518,6 +540,19 @@ class TestFirstOrthogonalTime:
             assert not res.found
             minima.append(res.min_overlap)
         assert max(minima) - min(minima) <= 1e-13 * purity
+
+    def test_negligible_level_far_above_keeps_the_phases_finite(self):
+        # |0> puts weight ~1e-308 on a level at 1e308: it adds 1 to E, which
+        # sets the horizon, and nothing to the survival, whose phases at that
+        # rate would overflow; the two other levels hold 4/9 and 5/9
+        lay = SubsystemLayout((3,))
+        mat = np.array([[0.0, -1e154 - 0.5j, 0.5 - 1j],
+                        [-1e154 + 0.5j, 1e308, -1e154 - 0.5j],
+                        [0.5 + 1j, -1e154 + 0.5j, 1.0000000000001]])
+        h = ground_shift(Hamiltonian(lay, mat))
+        res = first_orthogonal_time(PureState(lay, np.array([1.0, 0.0, 0.0])), h)
+        assert not res.found
+        assert res.min_overlap == pytest.approx((5 / 9 - 4 / 9) ** 2, rel=1e-9)
 
     def test_not_found_when_horizon_too_short(self):
         state, h = qubit_system()

@@ -22,6 +22,7 @@ from qslsim import (
     energy_stats,
     ground_shift,
     load_system,
+    make_grouped,
     make_mixture_demo,
     noninteracting_hamiltonian,
     qsl_time,
@@ -140,6 +141,62 @@ class TestTypeInvariants:
             Hamiltonian(lay, np.array([[0.0, bad], [bad, 1.0]]))
         with pytest.raises(InvariantViolation, match="non-finite"):
             embed_local(np.array([[bad, 0.0], [0.0, 0.0]]), 0, lay)
+
+    def test_shape_named_in_the_error(self):
+        lay = SubsystemLayout((2,))
+        with pytest.raises(InvariantViolation,
+                           match=r"^amplitudes: expected a complex vector of length 2, got shape \(3,\)$"):
+            PureState(lay, np.ones(3))
+        with pytest.raises(InvariantViolation,
+                           match=r"^hamiltonian: expected a 2x2 complex matrix, got shape \(2,\)$"):
+            Hamiltonian(lay, np.ones(2))
+        with pytest.raises(InvariantViolation,
+                           match=r"^local operator at site 1: expected a 3x3 complex matrix"):
+            embed_local(np.eye(2), 1, SubsystemLayout((2, 3)))
+
+    @pytest.mark.parametrize("build, match", [
+        (lambda lay: PureState(lay, np.array([1e200, 0.0])), "norm is inf"),
+        (lambda lay: tensor_product([[1e200, 0.0]]), "norm inf"),
+        (lambda lay: DensityMatrix(lay, np.diag([1e308, 1e308])), "trace is"),
+        (lambda lay: Hamiltonian(lay, np.array([[0.0, 1e308], [-1e308, 1.0]])),
+         r"not Hermitian \(max deviation inf\)"),
+        (lambda lay: embed_local(np.array([[0.0, 1e308], [-1e308, 1.0]]), 0, lay),
+         r"not Hermitian \(max deviation inf\)"),
+        (lambda lay: Hamiltonian(SubsystemLayout((3,)), np.array(
+            [[1e308, 1e308, 1e308], [1e308, 1e308, -1e308], [1e308, -1e308, 1e308]])),
+         "spectral range exceeds the float range"),
+        (lambda lay: Hamiltonian(lay, np.diag([-1e308, 1e308])),
+         "spectral range exceeds the float range"),
+    ], ids=["norm", "factor-norm", "trace", "hermitian", "local-hermitian", "range-3x3", "range"])
+    def test_checks_that_overflow_reject_without_a_warning(self, build, match):
+        # tier-1 turns numpy warnings into errors: an infinite norm, trace,
+        # deviation or spectral range fails its own check instead
+        with pytest.raises(InvariantViolation, match=match):
+            build(SubsystemLayout((2,)))
+
+    def test_finite_spectral_range_shifts_without_overflow(self):
+        h = Hamiltonian(SubsystemLayout((2,)), np.diag([-1e308, 0.5e308]).astype(complex))
+        shifted = ground_shift(h)
+        assert shifted.matrix[1, 1] == shifted.eigensystem()[0][1] == 1.5e308
+
+    @pytest.mark.parametrize("build", [
+        lambda: Hamiltonian(SubsystemLayout((2,)), np.diag([0.0, 1.0]).astype(complex)),
+        lambda: make_grouped(2, 2, 1.0, 0.5)[1],
+        lambda: ground_shift(Hamiltonian(SubsystemLayout((2,)), np.diag([-1.0, 1.0]))),
+    ], ids=["dense", "grouped", "ground_shift"])
+    def test_eigensystem_is_read_only(self, build):
+        # energy_stats and the solver read the cached spectrum: it cannot be rewritten
+        h = build()
+        evals, evecs = h.eigensystem()
+        before = evals.copy(), evecs.copy()
+        with pytest.raises(ValueError):
+            evals[1] = 7.0
+        with pytest.raises(ValueError):
+            evecs[0, 0] = 7.0
+        with pytest.raises(ValueError):
+            h.matrix[0, 0] = 7.0
+        assert np.array_equal(h.eigensystem()[0], before[0])
+        assert np.array_equal(h.eigensystem()[1], before[1])
 
     def test_hamiltonian_ground_energy_cached(self):
         h = Hamiltonian(SubsystemLayout((2,)), np.diag([-1.0, 1.0]).astype(complex))
