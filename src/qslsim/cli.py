@@ -47,10 +47,12 @@ from .dynamics import (
     survival,
 )
 from .qcore import (
+    DENSE_CAP,
     EnergyStats,
     InvariantViolation,
     NumericalFailure,
     SchemaError,
+    _dimension_within,
     energy_stats,
     ground_shift,
     load_system,
@@ -189,10 +191,10 @@ def _fig1_grid(start: float, stop: float, step: float) -> list[float]:
         raise _UsageError(f"grid step must be positive, got {step}")
     if start > stop:
         raise _UsageError(f"grid start {start} exceeds stop {stop}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    if count > MAX_GRID_POINTS:
-        raise _UsageError(f"grid has {count} points (max {MAX_GRID_POINTS})")
-    return [start + i * step for i in range(count)]
+    steps = (stop - start) / step + 1e-9  # inf where it overflows, which int() cannot take
+    if not steps < MAX_GRID_POINTS:
+        raise _UsageError(f"grid has more than {MAX_GRID_POINTS} points")
+    return [start + i * step for i in range(int(steps) + 1)]
 
 
 def cmd_fig1(args) -> Report:
@@ -235,8 +237,8 @@ def cmd_ent_scan(args) -> Report:
                                 w0 * math.sqrt(n * n - 1.0) / (2.0 * math.sqrt(3.0)))
             sep_bound = separable_pure_bound([local] * m)
             t_bound = qsl_time(EnergyStats(m * local.energy, m * local.spread)).time
-            if spec.total_dim <= args.cap and not args.no_verify:
-                state, hamiltonian, _ = make_psi_ent(spec, cap=args.cap)
+            if not args.no_verify and _dimension_within((n for _ in range(m)), args.cap):
+                state, hamiltonian, _ = make_psi_ent(spec)
                 result = first_orthogonal_time(state, hamiltonian)
                 _require_match(result.t_perp, t_analytic, f"N={n} M={m}")
             if m >= 2 and sep_bound / t_analytic < math.sqrt(m) * (1.0 - 1e-6):
@@ -260,8 +262,8 @@ def cmd_ent_scan(args) -> Report:
 def cmd_mixture_demo(args) -> Report:
     if args.omega <= 0.0:
         raise _UsageError("--omega must be positive")
-    if args.samples < 0:
-        raise _UsageError("--samples must be nonnegative")
+    if not 0 <= args.samples <= MAX_GRID_POINTS:
+        raise _UsageError(f"--samples must be between 0 and {MAX_GRID_POINTS}")
     omega = args.omega
     ensemble, locals_ = make_mixture_demo(omega)
     analysis = analyze_ensemble_at_qsl(ensemble, locals_, tol=args.tol)
@@ -326,11 +328,9 @@ def cmd_groups(args) -> Report:
     if args.groups < 1 or args.per_group < 1:
         raise _UsageError("--groups and --per-group must be >= 1")
     total = args.groups * args.per_group
-    if 2 ** total > args.cap:
+    if not _dimension_within((2 for _ in range(total)), args.cap):
         raise _UsageError(f"dimension 2^{total} exceeds the dense cap {args.cap}")
-    state, hamiltonian = make_grouped(
-        args.groups, args.per_group, args.omega0, args.omega, cap=args.cap
-    )
+    state, hamiltonian = make_grouped(args.groups, args.per_group, args.omega0, args.omega)
     result = grouped_t_perp(
         args.groups, args.per_group, args.omega0, args.omega, horizon=args.horizon
     )
@@ -356,8 +356,9 @@ def cmd_groups(args) -> Report:
     ratio = _ratio(result.t_perp, bound.time,
                    f"{args.groups} groups of {args.per_group}")
     if result.found:
-        text = (f"t_perp={_fmt(result.t_perp)} t_qsl={_fmt(bound.time)} "
-                f"ratio={_fmt(ratio)} sqrt_m_over_q={_fmt(expected)}\n")
+        vs_bound = ("t_qsl=unbounded ratio=n/a" if ratio is None
+                    else f"t_qsl={_fmt(bound.time)} ratio={_fmt(ratio)}")
+        text = f"t_perp={_fmt(result.t_perp)} {vs_bound} sqrt_m_over_q={_fmt(expected)}\n"
     else:
         text = (f"NotFound min_overlap={_fmt(result.min_overlap)} "
                 f"horizon={_fmt(result.horizon)} sqrt_m_over_q={_fmt(expected)}\n")
@@ -440,7 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-group", type=int, required=True)
     p.add_argument("--omega0", type=float, default=1.0)
     p.add_argument("--omega", type=float, default=0.0)
-    p.add_argument("--cap", type=int, default=4096)
+    p.add_argument("--cap", type=int, default=DENSE_CAP)
     p.add_argument("--no-verify", action="store_true")
 
     return parser

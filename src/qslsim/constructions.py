@@ -15,7 +15,6 @@ import numpy as np
 
 from .dynamics import HORIZON_MULTIPLIER, OrthogonalityResult, scan_first_zero
 from .qcore import (
-    DENSE_CAP,
     DensityMatrix,
     Hamiltonian,
     InvariantViolation,
@@ -66,17 +65,12 @@ class EntangledChainSpec:
             raise InvariantViolation(f"omega0 must be positive and finite, got {self.omega0}")
 
     @property
-    def total_dim(self) -> int:
-        return self.levels ** self.subsystems
-
-    @property
     def t_perp(self) -> float:
         """Exact first orthogonality time 2*pi / (levels * subsystems * omega0)."""
         return 2.0 * math.pi / (self.levels * self.subsystems * self.omega0)
 
 
-def make_psi_ent(spec: EntangledChainSpec,
-                 cap: int = DENSE_CAP) -> tuple[PureState, Hamiltonian, float]:
+def make_psi_ent(spec: EntangledChainSpec) -> tuple[PureState, Hamiltonian, float]:
     """Entangled chain state, its free Hamiltonian, and its exact t_perp.
 
     The state's overlap with its evolved self is a pure geometric sum whose
@@ -87,10 +81,11 @@ def make_psi_ent(spec: EntangledChainSpec,
     n, m, w0 = spec.levels, spec.subsystems, spec.omega0
     local_layout = SubsystemLayout((n,))
     local = Hamiltonian(local_layout, np.diag(w0 * np.arange(n)).astype(complex))
-    hamiltonian = noninteracting_hamiltonian([local] * m, cap=cap)
+    hamiltonian = noninteracting_hamiltonian([local] * m)
 
-    amplitudes = np.zeros(spec.total_dim, dtype=complex)
-    stride = (spec.total_dim - 1) // (n - 1)  # flat index of |n n ... n>
+    dim = hamiltonian.layout.total_dim
+    amplitudes = np.zeros(dim, dtype=complex)
+    stride = (dim - 1) // (n - 1)  # flat index of |n n ... n>
     amplitudes[np.arange(n) * stride] = 1.0 / math.sqrt(n)
     state = PureState(hamiltonian.layout, amplitudes)
     return state, hamiltonian, spec.t_perp
@@ -212,15 +207,14 @@ def _collective_hamiltonian(spec: CollectiveSpec, layout: SubsystemLayout) -> Ha
     return Hamiltonian._from_eigensystem(layout, matrix, evals[order], evecs)
 
 
-def make_collective(spec: CollectiveSpec,
-                    cap: int = DENSE_CAP) -> tuple[PureState, Hamiltonian]:
+def make_collective(spec: CollectiveSpec) -> tuple[PureState, Hamiltonian]:
     """Assemble the collective model as a dense 2^M system.
 
     The Hamiltonian's ground energy is exactly zero (both terms are PSD and
     share the all-plus eigenstate).  The initial state's energy statistics
     are the spec's ``energy`` and ``spread``.
     """
-    layout = SubsystemLayout((2,) * spec.qubits, cap=cap)
+    layout = SubsystemLayout((2,) * spec.qubits)
     bits = spec.bit_vector
     index = 0
     for b in bits:
@@ -288,8 +282,8 @@ def grouped_t_perp(groups: int, per_group: int, omega0: float, omega: float,
     return collective_t_perp(group, horizon=horizon)
 
 
-def make_grouped(groups: int, per_group: int, omega0: float, omega: float,
-                 cap: int = DENSE_CAP) -> tuple[PureState, Hamiltonian]:
+def make_grouped(groups: int, per_group: int, omega0: float,
+                 omega: float) -> tuple[PureState, Hamiltonian]:
     """Collective model split into non-interacting groups of qubits.
 
     The register of ``groups * per_group`` qubits carries one collective term
@@ -301,8 +295,8 @@ def make_grouped(groups: int, per_group: int, omega0: float, omega: float,
     if groups < 1 or per_group < 1:
         raise InvariantViolation("groups and per_group must both be >= 1")
     group = CollectiveSpec(per_group, omega0, omega)
-    layout = SubsystemLayout((2,) * (groups * per_group), cap=cap)
-    block = _collective_hamiltonian(group, SubsystemLayout((2,) * per_group, cap=cap))
+    layout = SubsystemLayout((2,) * (groups * per_group))
+    block = _collective_hamiltonian(group, SubsystemLayout((2,) * per_group))
     hamiltonian = _local_sum(layout, [block] * groups)
     amplitudes = np.zeros(layout.total_dim, dtype=complex)
     amplitudes[0] = 1.0

@@ -55,7 +55,6 @@ SCAN_FRACTION = 0.25
 #: Default search horizon, as a multiple of the speed limit time.
 HORIZON_MULTIPLIER = 20.0
 
-_BANDWIDTH_FLOOR = 1e-12
 _SUPPORT_CUT = 1e-12  # weights below this do not define the scan bandwidth
 _PAIR_CUT = 1e-18  # levels and factor columns whose terms stay below this are dropped
 #: Sets the block size of ``_SurvivalSignal.evaluate``: the complex phases
@@ -440,7 +439,7 @@ def first_orthogonal_time(state: State, hamiltonian: Hamiltonian,
     _require_same_layout(state, hamiltonian)
     _require_ground_shifted(hamiltonian, "hamiltonian")
     signal = _SurvivalSignal(state, hamiltonian)
-    if signal.bandwidth <= _BANDWIDTH_FLOOR:
+    if signal.bandwidth == 0.0:
         return OrthogonalityResult(False, None, signal.initial, 0.0, 0.0)
     if opts.horizon is not None:
         horizon = opts.horizon

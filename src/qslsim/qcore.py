@@ -15,15 +15,16 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-#: Default ceiling on the total Hilbert-space dimension.  Dense exact methods
-#: only; nine qubits (512) fit comfortably, 4096 is the point where a laptop
-#: stops being a reasonable tool.
+#: Ceiling on the total Hilbert-space dimension.  Dense exact methods only;
+#: nine qubits (512) fit comfortably, 4096 is the point where a laptop stops
+#: being a reasonable tool.
 DENSE_CAP = 4096
 
 NORM_TOL = 1e-12
@@ -97,9 +98,22 @@ def _checked(raw, shape: tuple[int, ...], name: str, hermitian: bool = False) ->
     if hermitian:
         with np.errstate(over="ignore"):  # an infinite deviation fails the check
             dev = float(np.abs(arr - arr.conj().T).max())
-        if dev > HERM_TOL and dev > HERM_TOL * float(np.abs(arr).max()):
+            scale = float(np.abs(arr).max())
+        # a finite entry's modulus may overflow: a finite scale keeps inf failing
+        if dev > HERM_TOL and dev > HERM_TOL * min(scale, sys.float_info.max):
             raise InvariantViolation(f"{name} is not Hermitian (max deviation {dev:.3e})")
     return arr
+
+
+def _dimension_within(dims: Iterable[int], limit: int) -> bool:
+    """Whether the product of the positive ``dims`` is at most ``limit``; stops
+    multiplying once the product passes it, so no larger size is ever formed."""
+    total = 1
+    for d in dims:
+        total *= d
+        if total > limit:
+            return False
+    return True
 
 
 def _eigh(mat: np.ndarray, name: str):
@@ -118,12 +132,11 @@ def _eigh(mat: np.ndarray, name: str):
 class SubsystemLayout:
     """Ordered local Hilbert-space dimensions of a composite system.
 
-    The product of the local dimensions is capped (default ``DENSE_CAP``) to
-    keep exact dense methods feasible; pass ``cap`` to override.
+    The product of the local dimensions is at most ``DENSE_CAP``, to keep
+    exact dense methods feasible.
     """
 
     dims: tuple[int, ...]
-    cap: int = field(default=DENSE_CAP, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         try:
@@ -134,11 +147,9 @@ class SubsystemLayout:
             raise InvariantViolation("a layout needs at least one subsystem")
         if any(d < 1 for d in dims):
             raise InvariantViolation(f"local dimensions must be >= 1, got {dims}")
-        total = math.prod(dims)
-        if total > self.cap:
-            raise InvariantViolation(
-                f"total dimension {total} exceeds the dense cap {self.cap}"
-            )
+        if not _dimension_within(dims, DENSE_CAP):
+            raise InvariantViolation(f"the total dimension of the {len(dims)} subsystems "
+                                     f"exceeds the dense cap {DENSE_CAP}")
         object.__setattr__(self, "dims", dims)
 
     @property
@@ -352,13 +363,11 @@ def _in_eigenbasis(state: State, hamiltonian: Hamiltonian) -> np.ndarray:
     return evecs.conj().T @ state.matrix @ evecs
 
 
-def tensor_product(factors: Sequence[Sequence[complex]],
-                   layout: SubsystemLayout | None = None) -> PureState:
+def tensor_product(factors: Sequence[Sequence[complex]]) -> PureState:
     """Kronecker product of normalized local state vectors.
 
     The amplitude at multi-index (i_0, ..., i_{M-1}) is the product of the
-    factor amplitudes.  When ``layout`` is given the factor lengths must match
-    its local dimensions.
+    factor amplitudes; the factor lengths are the local dimensions.
     """
     if len(factors) == 0:
         raise InvariantViolation("tensor_product needs at least one factor")
@@ -372,13 +381,8 @@ def tensor_product(factors: Sequence[Sequence[complex]],
         if abs(norm - 1.0) > NORM_TOL:
             raise InvariantViolation(f"factor {k} has norm {norm!r}, expected 1")
         vecs.append(vec)
-    dims = tuple(v.size for v in vecs)
-    if layout is not None and layout.dims != dims:
-        raise InvariantViolation(
-            f"factor dimensions {dims} do not match the declared layout {layout.dims}"
-        )
-    lay = layout if layout is not None else SubsystemLayout(dims)
-    return PureState(lay, reduce(np.kron, vecs))
+    layout = SubsystemLayout(tuple(v.size for v in vecs))
+    return PureState(layout, reduce(np.kron, vecs))
 
 
 def _add_local(total: np.ndarray, op: np.ndarray, site: int, dims: Sequence[int]) -> None:
@@ -448,15 +452,14 @@ def _local_sum(layout: SubsystemLayout, local_hamiltonians: Sequence[Hamiltonian
     return Hamiltonian._from_eigensystem(layout, matrix, evals[order], evecs)
 
 
-def noninteracting_hamiltonian(local_hamiltonians: Sequence[Hamiltonian],
-                               cap: int = DENSE_CAP) -> Hamiltonian:
+def noninteracting_hamiltonian(local_hamiltonians: Sequence[Hamiltonian]) -> Hamiltonian:
     """Sum of single-subsystem Hamiltonians embedded on the full space.
 
     A sum of ground-shifted commuting local terms is itself ground-shifted.
     """
     if len(local_hamiltonians) == 0:
         raise InvariantViolation("need at least one local hamiltonian")
-    layout = SubsystemLayout(tuple(h.layout.total_dim for h in local_hamiltonians), cap=cap)
+    layout = SubsystemLayout(tuple(h.layout.total_dim for h in local_hamiltonians))
     return _local_sum(layout, local_hamiltonians)
 
 
@@ -610,7 +613,7 @@ def system_to_json(state: State, hamiltonian: Hamiltonian) -> dict:
     return obj
 
 
-def system_from_json(obj, cap: int = DENSE_CAP) -> tuple[State, Hamiltonian]:
+def system_from_json(obj) -> tuple[State, Hamiltonian]:
     """Parse the wire-format dict; schema problems name the failing field."""
     if not isinstance(obj, dict):
         raise SchemaError("top level: expected a JSON object")
@@ -621,11 +624,11 @@ def system_from_json(obj, cap: int = DENSE_CAP) -> tuple[State, Hamiltonian]:
         or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in raw_dims)
     ):
         raise SchemaError("dims: expected a nonempty array of positive integers")
-    dims = tuple(raw_dims)
-    total = math.prod(dims)
-    if total > cap:
-        raise SchemaError(f"dims: total dimension {total} exceeds the cap {cap}")
-    layout = SubsystemLayout(dims, cap=cap)
+    if not _dimension_within(raw_dims, DENSE_CAP):
+        raise SchemaError(f"dims: the total dimension of the {len(raw_dims)} subsystems "
+                          f"exceeds the dense cap {DENSE_CAP}")
+    layout = SubsystemLayout(tuple(raw_dims))
+    total = layout.total_dim
 
     has_amp = "amplitudes" in obj
     has_mat = "matrix" in obj
@@ -645,14 +648,15 @@ def system_from_json(obj, cap: int = DENSE_CAP) -> tuple[State, Hamiltonian]:
     return state, hamiltonian
 
 
-def load_system(path, cap: int = DENSE_CAP) -> tuple[State, Hamiltonian]:
+def load_system(path) -> tuple[State, Hamiltonian]:
     """Read and parse a wire-format JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # ValueError: bad syntax, non-UTF-8 bytes, too many digits; RecursionError: nesting
+        except (ValueError, RecursionError) as exc:
             raise SchemaError(f"top level: not valid JSON ({exc})") from exc
-    return system_from_json(obj, cap=cap)
+    return system_from_json(obj)
 
 
 def dump_system(state: State, hamiltonian: Hamiltonian, path) -> None:

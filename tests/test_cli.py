@@ -157,6 +157,23 @@ class TestTperpCmd:
         assert out == ""
         assert err == "schema error: hamiltonian[3]: number too large for a double\n"
 
+    @pytest.mark.parametrize("text, reason", [
+        ('{"dims": [' + "1" * 5000 + "]}",
+         "top level: not valid JSON (Exceeds the limit (4300 digits)"),
+        ("[" * 200_000 + "]" * 200_000,
+         "top level: not valid JSON (maximum recursion depth exceeded"),
+        (b'{"dims": [2], "note": "\xff"}', "top level: not valid JSON ('utf-8' codec can't decode"),
+        (json.dumps({"dims": [2] * 15000, "amplitudes": [], "hamiltonian": []}),
+         "dims: the total dimension of the 15000 subsystems exceeds the dense cap 4096"),
+    ], ids=["long-integer", "deep-nesting", "not-utf8", "many-dims"])
+    def test_malformed_file_exit_2(self, capsys, tmp_path, text, reason):
+        path = tmp_path / "system.json"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        code, out, err = run(capsys, "tperp", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"schema error: {reason}")
+        assert err.count("\n") == 1
+
     def test_json_envelope(self, capsys, tmp_path):
         path = tmp_path / "qubit.json"
         write_saturating_qubit(path)
@@ -328,6 +345,12 @@ class TestFig1Cmd:
         assert code == 2
         assert "points" in err
 
+    def test_grid_count_beyond_the_float_range_exit_2(self, capsys):
+        # (stop - start) / step overflows to inf
+        code, out, err = run(capsys, "fig1", "--stop", "1e300", "--step", "1e-300")
+        assert (code, out) == (2, "")
+        assert err == "fig1: grid has more than 100000 points\n"
+
 
 # ---------------------------------------------------------------------------
 # ent-scan
@@ -368,6 +391,14 @@ class TestEntScanCmd:
     def test_bad_flags_exit_2(self, capsys):
         code, _, _ = run(capsys, "ent-scan", "--levels", "x,y")
         assert code == 2
+
+    def test_cap_flag_cannot_raise_the_dense_cap(self, capsys):
+        # 3^8 = 6561 is within --cap but beyond DENSE_CAP: the layout rejects it
+        code, out, err = run(capsys, "ent-scan", "--cap", "8192", "--levels", "3",
+                             "--subsystems", "8")
+        assert (code, out) == (3, "")
+        assert err == ("invalid input: the total dimension of the 8 subsystems "
+                       "exceeds the dense cap 4096\n")
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +448,11 @@ class TestMixtureDemoCmd:
     def test_bad_omega_exit_2(self, capsys):
         code, _, _ = run(capsys, "mixture-demo", "--omega", "0")
         assert code == 2
+
+    def test_too_many_samples_exit_2(self, capsys):
+        code, out, err = run(capsys, "mixture-demo", "--samples", "100001")
+        assert (code, out) == (2, "")
+        assert err == "mixture-demo: --samples must be between 0 and 100000\n"
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +512,29 @@ class TestGroupsCmd:
                            "--cap", "4096")
         assert code == 2
         assert "cap" in err
+
+    def test_dimension_far_beyond_the_cap_exit_2(self, capsys):
+        # 2 ** (10 ** 12) would take ~125 GB; the check stops multiplying at 2^13
+        code, out, err = run(capsys, "groups", "--groups", "1000000", "--per-group", "1000000")
+        assert (code, out) == (2, "")
+        assert err == "groups: dimension 2^1000000000000 exceeds the dense cap 4096\n"
+
+    def test_unbounded_bound_prints_unbounded(self, capsys):
+        # E = 4e-13 is below the bound's zero tolerance, so t_qsl is infinite
+        code, out, err = run(capsys, "groups", "--groups", "2", "--per-group", "2",
+                             "--omega0", "1e-13", "--no-verify")
+        assert (code, err) == (0, "")
+        assert out == ("t_perp=1.57079632679e+13 t_qsl=unbounded ratio=n/a "
+                       "sqrt_m_over_q=1.41421356237\n")
+
+    def test_slow_system_verified_within_an_explicit_horizon(self, capsys):
+        # the full matrix's bandwidth is 2e-13; t_perp = pi / (2 omega0)
+        code, out, err = run(capsys, "groups", "--groups", "1", "--per-group", "1",
+                             "--omega0", "1e-13", "--horizon", "1e14", "--json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["t_perp"] == pytest.approx(math.pi / 2e-13, rel=1e-10)
+        assert (payload["t_qsl"], payload["ratio"]) == (None, None)
 
     def test_json_envelope(self, capsys):
         code, out, _ = run(capsys, "groups", "--groups", "2", "--per-group", "2",
@@ -809,6 +868,62 @@ def test_tperp_at_extreme_bandwidth_reports_its_minimum(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["status"] == "NotFound"
     assert payload["min_overlap"] == pytest.approx(0.5, abs=1e-15)
+
+
+#: Flag values from zero and one to the edges of the float range.
+_FLOATS = st.sampled_from(["0", "1e-300", "-1e-300", "1e-13", "0.5", "1", "1e300", "nan", "inf"])
+
+
+@st.composite
+def qsl_argvs(draw):
+    """An invocation of one of the six subcommands, its numeric flags drawn
+    from ``_FLOATS`` and its sizes kept small (groups x per-group <= 8)."""
+    command = draw(st.sampled_from(sorted(JSON_KEYS)))
+
+    def flag(name, values=_FLOATS, required=False):
+        # "--flag=value": argparse would read a bare "-1e-300" as an option
+        return [f"{name}={draw(values)}"] if required or draw(st.booleans()) else []
+
+    def switch(name):
+        return [name] if draw(st.booleans()) else []
+
+    if command == "bound":
+        args = flag("--energy", required=True) + flag("--spread", required=True)
+    elif command == "tperp":
+        args = ["QUBIT"] + flag("--horizon") + flag("--tol")
+    elif command == "fig1":
+        args = (flag("--qubits", st.sampled_from(["1", "2", "3"])) + flag("--omega0")
+                + flag("--start") + flag("--stop") + flag("--step") + flag("--horizon")
+                + switch("--limit"))
+    elif command == "ent-scan":
+        args = (flag("--levels", st.sampled_from(["1", "2", "3", "2,3"]))
+                + flag("--subsystems", st.sampled_from(["1", "2", "1,3"])) + flag("--omega0")
+                + flag("--cap", st.sampled_from(["-1", "0", "8", "1024", "100000"]))
+                + switch("--no-verify"))
+    elif command == "mixture-demo":
+        args = (flag("--omega") + flag("--samples", st.sampled_from(["-1", "0", "1", "5"]))
+                + flag("--horizon") + flag("--tol"))
+    else:
+        groups = draw(st.integers(0, 4))
+        per_group = draw(st.integers(0, 8 // max(groups, 1)))
+        args = ([f"--groups={groups}", f"--per-group={per_group}"] + flag("--omega0")
+                + flag("--omega") + flag("--horizon") + flag("--tol")
+                + flag("--cap", st.sampled_from(["0", "16", "4096", "100000"]))
+                + switch("--no-verify"))
+    return [command, *args, *switch("--json")]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=qsl_argvs())
+def test_argv_ends_in_an_exit_code(capsys, tmp_path, argv):
+    # tier-1 turns numpy warnings into errors, so a warning fails here too
+    qubit = tmp_path / "qubit.json"
+    write_saturating_qubit(qubit)
+    code, _, err = run(capsys, *[str(qubit) if a == "QUBIT" else a for a in argv])
+    assert code in (0, 2, 3, 4)
+    assert err.count("\n") <= 1
+    assert (code == 0) == (err == "")
 
 
 #: SHA-256 of the CSV each invocation writes with its default options.  The

@@ -585,6 +585,29 @@ class TestFirstOrthogonalTime:
         assert not res.found
         assert res.min_overlap == pytest.approx(0.5, abs=1e-12)
 
+    def test_tiny_bandwidth_has_an_unbounded_default_horizon(self):
+        # a populated gap of 1e-13: the state moves, but its energy and spread
+        # are below the bound's zero tolerance, so no default horizon exists
+        lay = SubsystemLayout((2,))
+        h = Hamiltonian(lay, np.diag([0.0, 1e-13]).astype(complex))
+        state = PureState(lay, np.array([INV_SQRT2, INV_SQRT2]))
+        bounds = []
+        with mock.patch.object(dynamics, "qsl_time",
+                               lambda stats: bounds.append(qsl_time(stats)) or bounds[-1]):
+            res = first_orthogonal_time(state, h)
+        assert len(bounds) == 1 and bounds[0].unbounded
+        assert (res.found, res.t_at_min, res.horizon) == (False, 0.0, 0.0)
+        assert res.min_overlap == pytest.approx(1.0, abs=1e-15)
+
+    def test_tiny_bandwidth_searched_within_an_explicit_horizon(self):
+        # survival cos^2(w t / 2), first zero at pi / w
+        lay = SubsystemLayout((2,))
+        h = Hamiltonian(lay, np.diag([0.0, 1e-13]).astype(complex))
+        state = PureState(lay, np.array([INV_SQRT2, INV_SQRT2]))
+        res = first_orthogonal_time(state, h, SearchOptions(horizon=1e14))
+        assert res.found
+        assert res.t_perp == pytest.approx(math.pi / 1e-13, rel=1e-10)
+
     def test_invalid_options(self):
         with pytest.raises(InvariantViolation):
             SearchOptions(horizon=-1.0)

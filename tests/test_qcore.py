@@ -1,5 +1,6 @@
 """Tests for the value types and linear-algebra primitives."""
 
+import itertools
 import math
 
 import numpy as np
@@ -33,7 +34,7 @@ from qslsim import (
     tensor_product,
 )
 from qslsim import qcore
-from qslsim.qcore import _HUGE_PAGE, _pairs_to_array
+from qslsim.qcore import _HUGE_PAGE, _dimension_within, _pairs_to_array
 from conftest import (matrix_energy_stats, random_density, random_hermitian, random_pure,
                       random_unitary)
 
@@ -63,9 +64,20 @@ class TestLayout:
         with pytest.raises(InvariantViolation, match="cap"):
             SubsystemLayout((2,) * 13)  # 8192 > 4096
 
-    def test_cap_configurable(self):
-        lay = SubsystemLayout((2,) * 13, cap=10000)
-        assert lay.total_dim == 8192
+    def test_cap_checked_without_forming_the_product(self):
+        # 2^15000 has 4516 digits, more than int-to-str converts: the message
+        # names the cap and the subsystem count instead
+        with pytest.raises(InvariantViolation, match=r"^the total dimension of the 15000 "
+                                                     r"subsystems exceeds the dense cap 4096$"):
+            SubsystemLayout((2,) * 15000)
+
+    def test_dimension_within_stops_past_the_limit(self):
+        assert _dimension_within([2] * 12, 4096)
+        assert not _dimension_within([2] * 13, 4096)
+        assert _dimension_within([1] * 5, 1)
+        assert not _dimension_within([3], -1)
+        # an endless sequence: only a check that stops can answer
+        assert not _dimension_within(itertools.repeat(2), 4096)
 
     def test_rejects_empty_and_nonpositive(self):
         with pytest.raises(InvariantViolation):
@@ -167,7 +179,12 @@ class TestTypeInvariants:
          "spectral range exceeds the float range"),
         (lambda lay: Hamiltonian(lay, np.diag([-1e308, 1e308])),
          "spectral range exceeds the float range"),
-    ], ids=["norm", "factor-norm", "trace", "hermitian", "local-hermitian", "range-3x3", "range"])
+        # finite parts, infinite modulus: the relative test still rejects it
+        (lambda lay: Hamiltonian(lay, np.array([[0.0, 1.5e308 + 1.5e308j],
+                                                [1.5e308 + 1.5e308j, 0.0]])),
+         r"not Hermitian \(max deviation inf\)"),
+    ], ids=["norm", "factor-norm", "trace", "hermitian", "local-hermitian", "range-3x3", "range",
+            "infinite-modulus"])
     def test_checks_that_overflow_reject_without_a_warning(self, build, match):
         # tier-1 turns numpy warnings into errors: an infinite norm, trace,
         # deviation or spectral range fails its own check instead
@@ -269,10 +286,6 @@ class TestTensorProduct:
     def test_unnormalized_factor_rejected(self):
         with pytest.raises(InvariantViolation, match="factor 1"):
             tensor_product([(1, 0), (1, 1)])
-
-    def test_layout_mismatch_rejected(self):
-        with pytest.raises(InvariantViolation, match="layout"):
-            tensor_product([(1, 0)], layout=SubsystemLayout((3,)))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dims=st.lists(st.integers(2, 4), min_size=1, max_size=4))
