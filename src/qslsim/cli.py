@@ -233,9 +233,8 @@ def cmd_ent_scan(args) -> Report:
         for m in args.subsystems:
             spec = EntangledChainSpec(n, m, w0)
             t_analytic = spec.t_perp
-            local = EnergyStats(w0 * (n - 1) / 2.0,
-                                w0 * math.sqrt(n * n - 1.0) / (2.0 * math.sqrt(3.0)))
-            sep_bound = separable_pure_bound([local] * m)
+            local = spec.local_stats
+            sep_bound = separable_pure_bound([local])  # M identical subsystems bound as one
             t_bound = qsl_time(EnergyStats(m * local.energy, m * local.spread)).time
             if not args.no_verify and _dimension_within((n for _ in range(m)), args.cap):
                 state, hamiltonian, _ = make_psi_ent(spec)
@@ -329,7 +328,9 @@ def cmd_groups(args) -> Report:
         raise _UsageError("--groups and --per-group must be >= 1")
     total = args.groups * args.per_group
     if not _dimension_within((2 for _ in range(total)), args.cap):
-        raise _UsageError(f"dimension 2^{total} exceeds the dense cap {args.cap}")
+        # int-to-str converts at most 4300 digits
+        exponent = total if total.bit_length() <= 64 else "(groups x per-group)"
+        raise _UsageError(f"dimension 2^{exponent} exceeds the dense cap {args.cap}")
     state, hamiltonian = make_grouped(args.groups, args.per_group, args.omega0, args.omega)
     result = grouped_t_perp(
         args.groups, args.per_group, args.omega0, args.omega, horizon=args.horizon

@@ -16,13 +16,12 @@ import numpy as np
 from .dynamics import HORIZON_MULTIPLIER, OrthogonalityResult, scan_first_zero
 from .qcore import (
     DensityMatrix,
+    EnergyStats,
     Hamiltonian,
     InvariantViolation,
     PureState,
     SeparableEnsemble,
     SubsystemLayout,
-    _dense_empty,
-    _kron_columns,
     _local_sum,
     noninteracting_hamiltonian,
 )
@@ -63,11 +62,23 @@ class EntangledChainSpec:
             raise InvariantViolation(f"subsystems must be >= 1, got {self.subsystems}")
         if not (0.0 < self.omega0 < math.inf):
             raise InvariantViolation(f"omega0 must be positive and finite, got {self.omega0}")
+        try:  # N * M * omega0 and N^2 as doubles; M times a local stat is then finite
+            t_perp, _ = self.t_perp, self.local_stats
+        except (OverflowError, InvariantViolation):
+            t_perp = 0.0
+        if not 0.0 < t_perp < math.inf:
+            raise InvariantViolation("the chain's t_perp or energies lie outside the float range")
 
     @property
     def t_perp(self) -> float:
         """Exact first orthogonality time 2*pi / (levels * subsystems * omega0)."""
         return 2.0 * math.pi / (self.levels * self.subsystems * self.omega0)
+
+    @property
+    def local_stats(self) -> EnergyStats:
+        """Energy and spread of one subsystem, the uniform mixture of its levels."""
+        n, w0 = self.levels, self.omega0
+        return EnergyStats(w0 * (n - 1) / 2.0, w0 * math.sqrt(n * n - 1.0) / (2.0 * math.sqrt(3.0)))
 
 
 def make_psi_ent(spec: EntangledChainSpec) -> tuple[PureState, Hamiltonian, float]:
@@ -193,18 +204,19 @@ def _collective_hamiltonian(spec: CollectiveSpec, layout: SubsystemLayout) -> Ha
     qubits, omega0, omega = spec.qubits, spec.omega0, spec.omega
     dim = layout.total_dim
     index = np.arange(dim)
-    matrix = _dense_empty(dim, dim)
-    matrix.fill(0.0)
-    matrix[index, index] = qubits * omega0 + omega
-    for k in range(qubits):
-        matrix[index ^ (1 << k), index] -= omega0
-    matrix[index ^ (dim - 1), index] -= omega
+
+    def build() -> np.ndarray:
+        matrix = np.zeros((dim, dim), dtype=complex)
+        matrix[index, index] = qubits * omega0 + omega
+        for k in range(qubits):
+            matrix[index ^ (1 << k), index] -= omega0
+        matrix[index ^ (dim - 1), index] -= omega
+        return matrix
 
     ones = sum((index >> k) & 1 for k in range(qubits))
     evals = 2.0 * omega0 * ones + 2.0 * omega * (ones & 1)
     order = np.argsort(evals, kind="stable")
-    evecs = _kron_columns([_HADAMARD] * qubits, order)
-    return Hamiltonian._from_eigensystem(layout, matrix, evals[order], evecs)
+    return Hamiltonian._from_eigensystem(layout, build, evals[order], [_HADAMARD] * qubits, order)
 
 
 def make_collective(spec: CollectiveSpec) -> tuple[PureState, Hamiltonian]:

@@ -179,7 +179,7 @@ class _SurvivalSignal:
     """
 
     def __init__(self, state: State, hamiltonian: Hamiltonian):
-        evals = hamiltonian.eigensystem()[0]
+        evals = hamiltonian._evals
         rotated = _in_eigenbasis(state, hamiltonian)
         self.populations = _populations(rotated)
         # eigensystem() sorts the eigenvalues, so a level is a run of equal ones
@@ -318,16 +318,16 @@ def _lower_minimum(vec_fn: Callable[[np.ndarray], np.ndarray],
 
     Branch and bound (Piyavskii-Shubert with a curvature bound): on a cell
     [lo, hi] with end values f_lo, f_hi a signal with |s''| <= rate**2 lies
-    at most (rate * (hi - lo))**2 / 8 below min(f_lo, f_hi).  Cells whose
-    bound is not below ``best_val - tol``, or that are at most ``xtol`` wide,
-    are dropped; the others are bisected, one ``vec_fn`` call per level.
+    at most (rate * (hi - lo))**2 / 8 below min(f_lo, f_hi), and a nonnegative
+    one never below 0.  Cells bounded at or above ``best_val - tol``, or at most
+    ``xtol`` wide, are dropped; the others are bisected, one call per level.
     """
-    while True:
+    while best_val > tol:  # else no cell, bounded at or above 0, is below best_val - tol
         width = hi - lo
         live = ((np.minimum(f_lo, f_hi) - (rate * width) ** 2 / 8.0 < best_val - tol)
                 & (width > xtol))
         if not live.any():
-            return best_t, best_val
+            break
         lo, hi, f_lo, f_hi = lo[live], hi[live], f_lo[live], f_hi[live]
         mid = 0.5 * (lo + hi)
         f_mid = vec_fn(mid)
@@ -336,6 +336,7 @@ def _lower_minimum(vec_fn: Callable[[np.ndarray], np.ndarray],
             best_t, best_val = float(mid[k]), float(f_mid[k])
         lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
         f_lo, f_hi = np.concatenate((f_lo, f_mid)), np.concatenate((f_mid, f_hi))
+    return best_t, best_val
 
 
 def scan_first_zero(vec_fn: Callable[[np.ndarray], np.ndarray],
@@ -444,7 +445,7 @@ def first_orthogonal_time(state: State, hamiltonian: Hamiltonian,
     if opts.horizon is not None:
         horizon = opts.horizon
     else:
-        bound = qsl_time(_level_stats(hamiltonian.eigensystem()[0], signal.populations))
+        bound = qsl_time(_level_stats(hamiltonian._evals, signal.populations))
         if bound.unbounded:
             return OrthogonalityResult(False, None, signal.initial, 0.0, 0.0)
         horizon = HORIZON_MULTIPLIER * bound.time

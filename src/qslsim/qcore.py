@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -34,6 +34,7 @@ PSD_TOL = 1e-10
 GROUND_TOL = 1e-10
 WEIGHT_TOL = 1e-12
 EIGENVALUE_DROP = 1e-12
+_UNIT = np.ones((1, 1), dtype=complex)
 
 
 class InvariantViolation(ValueError):
@@ -51,31 +52,6 @@ class NumericalFailure(RuntimeError):
 # ---------------------------------------------------------------------------
 # array helpers
 # ---------------------------------------------------------------------------
-
-#: Size and alignment of a transparent huge page on x86-64 and arm64 Linux.
-_HUGE_PAGE = 1 << 21
-
-
-def _dense_empty(rows: int, cols: int) -> np.ndarray:
-    """An uninitialized complex matrix; from 4 MiB up, on a huge-page boundary.
-
-    A freshly built D x D matrix costs more in first-touch page faults than in
-    arithmetic.  numpy asks the kernel for transparent huge pages on arrays of
-    4 MiB or more, but only the 2 MiB-aligned stretches inside an array can
-    get them.  Unaligned, a D = 512 matrix takes anywhere from 0 to about 1500
-    faults, and up to 1.7x the build time, depending on where the allocator
-    places it, which differs from one process to the next.  Starting the array
-    on a boundary lets every stretch be a huge page.  Callers that need zeros
-    write them with ``fill``: ``np.zeros`` may touch the pages before numpy's
-    advice.
-    """
-    nbytes = rows * cols * 16
-    if nbytes < 2 * _HUGE_PAGE:
-        return np.empty((rows, cols), dtype=complex)
-    raw = np.empty(nbytes + _HUGE_PAGE, dtype=np.uint8)
-    start = -raw.ctypes.data % _HUGE_PAGE
-    return raw[start:start + nbytes].view(complex).reshape(rows, cols)
-
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=complex, copy=True)
@@ -206,10 +182,12 @@ State = Union[PureState, DensityMatrix]
 
 @dataclass(frozen=True, eq=False)
 class Hamiltonian:
-    """Hermitian operator, diagonalized once at construction.
+    """Hermitian operator with its eigensystem, eigenvectors V = (L (x) R)[:, order].
 
-    The constructions whose spectrum is known in closed form hand it over
-    instead, through ``_from_eigensystem``.
+    ``Hamiltonian(layout, matrix)`` runs eigh once: L = V, R = 1, the identity order.
+    The constructions whose spectrum is known in closed form hand over V's
+    Kronecker factors through ``_from_eigensystem``; ``matrix`` and V are then
+    formed on first read (racing readers form equal arrays).
 
     ``ground_energy`` caches the minimum eigenvalue; the eigensystem is reused
     by every evolution and bound computation.  Operations that assume a zero
@@ -224,36 +202,51 @@ class Hamiltonian:
     def __post_init__(self) -> None:
         mat = _checked(self.matrix, (self.layout.total_dim,) * 2, "hamiltonian", hermitian=True)
         evals, evecs = _eigh(mat, "hamiltonian")
-        self._install(_freeze(mat), evals, evecs)  # the copy after eigh keeps the peak low
+        self._install(self.layout, evals, evecs, _UNIT, np.arange(evals.size), {})
+        self.__dict__.update(matrix=_freeze(mat), _evecs=evecs)  # copied after eigh: a lower peak
 
     @classmethod
-    def _from_eigensystem(
-        cls,
-        layout: SubsystemLayout,
-        matrix: np.ndarray,
-        evals: np.ndarray,
-        evecs: np.ndarray,
-    ) -> "Hamiltonian":
-        # Internal fast path for matrices whose decomposition is already known
-        # (e.g. a ground shift, which only slides the spectrum).  Callers hand
-        # over fresh arrays, which are frozen in place rather than copied.
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "layout", layout)
-        obj._install(np.asarray(matrix, dtype=complex), evals, evecs)
-        return obj
+    def _from_eigensystem(cls, layout: SubsystemLayout, build: Callable[[], np.ndarray],
+                          evals: np.ndarray, factors: Sequence[np.ndarray],
+                          order: np.ndarray) -> "Hamiltonian":
+        # Eigenvectors: columns ``order`` of the Kronecker product of the square
+        # ``factors``, L and R that of their halves; ``build()`` forms the matrix.
+        half = len(factors) // 2
+        left = reduce(np.kron, factors[:half], _UNIT)
+        right = reduce(np.kron, factors[half:], _UNIT)
 
-    def _install(self, matrix: np.ndarray, evals: np.ndarray, evecs: np.ndarray) -> None:
+        def evecs() -> np.ndarray:
+            # column (i, j) of L (x) R is L[:, i] (x) R[:, j]
+            i, j = np.divmod(order, right.shape[1])
+            return (left[:, None, i] * right[None, :, j]).reshape(-1, order.size)
+
+        return object.__new__(cls)._install(layout, evals, left, right, order,
+                                            {"matrix": build, "_evecs": evecs})
+
+    def _install(self, layout: SubsystemLayout, evals: np.ndarray, left: np.ndarray,
+                 right: np.ndarray, order: np.ndarray, forms: dict) -> "Hamiltonian":
         # Python floats: the subtraction gives inf where numpy would warn.  A
         # finite range keeps every shifted diagonal, within [0, range], finite.
         if not math.isfinite(float(evals[-1]) - float(evals[0])):
             raise InvariantViolation(f"hamiltonian spectral range exceeds the float range "
                                      f"(eigenvalues {float(evals[0])!r} to {float(evals[-1])!r})")
-        for arr in (matrix, evals, evecs):
+        for arr in (evals, left, right, order):
             arr.flags.writeable = False
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "ground_energy", float(evals[0]))
-        object.__setattr__(self, "_evals", evals)
-        object.__setattr__(self, "_evecs", evecs)
+        self.__dict__.update(layout=layout, ground_energy=float(evals[0]), _evals=evals,
+                             _left=left, _right=right, _order=order, _forms=forms)
+        return self
+
+    def __getattr__(self, name: str):
+        # only for attributes not set yet: the arrays ``_forms`` forms on first read
+        form = self.__dict__.get("_forms", {}).get(name)
+        if form is None:
+            raise AttributeError(name)
+        value = self.__dict__[name] = form()
+        value.flags.writeable = False
+        return value
+
+    def __getstate__(self) -> dict:  # a pickle carries the formed arrays, not their forms
+        return {**self.__dict__, "matrix": self.matrix, "_evecs": self._evecs, "_forms": {}}
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenvalues and the matching orthonormal eigenvector columns,
@@ -355,11 +348,13 @@ def _require_ground_shifted(hamiltonian: Hamiltonian, what: str) -> None:
 
 
 def _in_eigenbasis(state: State, hamiltonian: Hamiltonian) -> np.ndarray:
-    """V^dagger psi or V^dagger rho V, with V the Hamiltonian's eigenvector columns."""
-    evecs = hamiltonian.eigensystem()[1]
+    """V^dagger psi = conj(L^T Psi* R)[order], Psi* the conjugated amplitudes as a (rows
+    of L) x (rows of R) matrix (Van Loan, JCAM 123, 85 (2000)), or V^dagger rho V."""
     if isinstance(state, PureState):
-        # conj(V^T psi*) is V^dagger psi without a conjugated copy of V
-        return (evecs.T @ state.amplitudes.conj()).conj()
+        left, right = hamiltonian._left, hamiltonian._right
+        psi = state.amplitudes.conj().reshape(left.shape[0], right.shape[0])
+        return (left.T @ psi @ right).conj().reshape(-1)[hamiltonian._order]
+    evecs = hamiltonian.eigensystem()[1]
     return evecs.conj().T @ state.matrix @ evecs
 
 
@@ -415,24 +410,6 @@ def embed_local(op, site: int, layout: SubsystemLayout) -> np.ndarray:
     return out
 
 
-def _kron_columns(factors: Sequence[np.ndarray], order: np.ndarray) -> np.ndarray:
-    """Columns ``order`` of the Kronecker product of the square ``factors``.
-
-    Column (i, j) of A (x) B is A[:, i] (x) B[:, j]; splitting the factors
-    into two halves writes the selected columns in one pass, without building
-    the full product first.
-    """
-    unit = np.ones((1, 1), dtype=complex)
-    half = len(factors) // 2
-    left = reduce(np.kron, factors[:half], unit)
-    right = reduce(np.kron, factors[half:], unit)
-    i, j = np.divmod(order, right.shape[1])
-    out = _dense_empty(left.shape[0] * right.shape[0], order.size)
-    np.multiply(left[:, None, i], right[None, :, j],
-                out=out.reshape(left.shape[0], right.shape[0], order.size))
-    return out
-
-
 def _local_sum(layout: SubsystemLayout, local_hamiltonians: Sequence[Hamiltonian]) -> Hamiltonian:
     """Sum of local terms, one per consecutive block of the Kronecker order.
 
@@ -441,15 +418,17 @@ def _local_sum(layout: SubsystemLayout, local_hamiltonians: Sequence[Hamiltonian
     eigenvector u_i (x) v_j, so the full matrix is never diagonalized.
     """
     dims = tuple(h.layout.total_dim for h in local_hamiltonians)
-    matrix = _dense_empty(layout.total_dim, layout.total_dim)
-    matrix.fill(0.0)
-    for site, local in enumerate(local_hamiltonians):
-        _add_local(matrix, local.matrix, site, dims)
-    systems = [h.eigensystem() for h in local_hamiltonians]
-    evals = reduce(np.add.outer, (lam for lam, _ in systems)).reshape(-1)
+
+    def build() -> np.ndarray:
+        matrix = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
+        for site, local in enumerate(local_hamiltonians):
+            _add_local(matrix, local.matrix, site, dims)
+        return matrix
+
+    spectra, factors = zip(*(h.eigensystem() for h in local_hamiltonians))
+    evals = reduce(np.add.outer, spectra).reshape(-1)
     order = np.argsort(evals, kind="stable")
-    evecs = _kron_columns([vecs for _, vecs in systems], order)
-    return Hamiltonian._from_eigensystem(layout, matrix, evals[order], evecs)
+    return Hamiltonian._from_eigensystem(layout, build, evals[order], factors, order)
 
 
 def noninteracting_hamiltonian(local_hamiltonians: Sequence[Hamiltonian]) -> Hamiltonian:
@@ -469,11 +448,16 @@ def ground_shift(hamiltonian: Hamiltonian) -> Hamiltonian:
     The dynamics are unchanged up to a global phase; only the energy
     bookkeeping moves.
     """
-    evals, evecs = hamiltonian.eigensystem()
-    lam0 = hamiltonian.ground_energy
-    shifted = hamiltonian.matrix.copy()
-    shifted.flat[:: hamiltonian.layout.total_dim + 1] -= lam0
-    return Hamiltonian._from_eigensystem(hamiltonian.layout, shifted, evals - lam0, evecs)
+    h, lam0 = hamiltonian, hamiltonian.ground_energy
+
+    def shifted() -> np.ndarray:
+        matrix = h.matrix.copy()
+        matrix.flat[:: h.layout.total_dim + 1] -= lam0
+        return matrix
+
+    return object.__new__(Hamiltonian)._install(  # the same V, formed once for both
+        h.layout, h._evals - lam0, h._left, h._right, h._order,
+        {"matrix": shifted, "_evecs": lambda: h.eigensystem()[1]})
 
 
 def _populations(rotated: np.ndarray) -> np.ndarray:
@@ -501,7 +485,7 @@ def energy_stats(state: State, hamiltonian: Hamiltonian) -> EnergyStats:
     """
     _require_same_layout(state, hamiltonian)
     _require_ground_shifted(hamiltonian, "hamiltonian")
-    return _level_stats(hamiltonian.eigensystem()[0],
+    return _level_stats(hamiltonian._evals,
                         _populations(_in_eigenbasis(state, hamiltonian)))
 
 

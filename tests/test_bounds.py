@@ -431,8 +431,8 @@ class TestMixedStateBound:
         # negative one: the eigenvector statistics expose it
         lay = SubsystemLayout((3,))
         h = Hamiltonian._from_eigensystem(
-            lay, np.diag([-1.0, 0.0, 1.0]).astype(complex),
-            np.array([0.0, 1.0, 2.0]), np.eye(3, dtype=complex))
+            lay, lambda: np.diag([-1.0, 0.0, 1.0]).astype(complex),
+            np.array([0.0, 1.0, 2.0]), [np.eye(3, dtype=complex)], np.arange(3))
         rho = DensityMatrix(lay, np.diag([0.6, 0.4, 0.0]).astype(complex))
         with pytest.raises(NumericalFailure, match="negative mean energy -1.0 "):
             mixed_state_bound(rho, h)

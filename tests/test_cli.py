@@ -392,6 +392,34 @@ class TestEntScanCmd:
         code, _, _ = run(capsys, "ent-scan", "--levels", "x,y")
         assert code == 2
 
+    def test_identical_subsystems_bound_as_one(self, capsys, monkeypatch):
+        # an M-element list of equal stats took 1.1 s and 80 MB at M = 10^7
+        import qslsim.cli as cli_module
+
+        lengths = []
+        bound = cli_module.separable_pure_bound
+
+        def recorded(stats):
+            lengths.append(len(stats))
+            return bound(stats)
+
+        monkeypatch.setattr(cli_module, "separable_pure_bound", recorded)
+        code, out, err = run(capsys, "ent-scan", "--levels", "2,10",
+                             "--subsystems", "3,10000000")
+        assert (code, err) == (0, "")
+        assert lengths == [1] * 4
+        assert out.splitlines()[-1] == "10,10000000,6.28318530718e-08,0.546881085105,5.46881085105e-08"
+
+    @pytest.mark.parametrize("flags", [
+        ("--levels", "2", "--subsystems", "1" + "0" * 400),
+        ("--levels", "1" + "0" * 400, "--subsystems", "2"),
+        ("--levels", "1" + "0" * 200, "--subsystems", "1", "--omega0", "1e-250", "--no-verify"),
+    ], ids=["subsystems-401-digits", "levels-401-digits", "levels-squared"])
+    def test_counts_beyond_the_float_range_exit_3(self, capsys, flags):
+        code, out, err = run(capsys, "ent-scan", *flags)
+        assert (code, out) == (3, "")
+        assert err == "invalid input: the chain's t_perp or energies lie outside the float range\n"
+
     def test_cap_flag_cannot_raise_the_dense_cap(self, capsys):
         # 3^8 = 6561 is within --cap but beyond DENSE_CAP: the layout rejects it
         code, out, err = run(capsys, "ent-scan", "--cap", "8192", "--levels", "3",
@@ -518,6 +546,13 @@ class TestGroupsCmd:
         code, out, err = run(capsys, "groups", "--groups", "1000000", "--per-group", "1000000")
         assert (code, out) == (2, "")
         assert err == "groups: dimension 2^1000000000000 exceeds the dense cap 4096\n"
+
+    def test_exponent_beyond_the_int_to_str_limit_exit_2(self, capsys):
+        # the exponent has ~4400 digits, more than int-to-str converts
+        big = "1" + "0" * 2199
+        code, out, err = run(capsys, "groups", "--groups", big, "--per-group", big)
+        assert (code, out) == (2, "")
+        assert err == "groups: dimension 2^(groups x per-group) exceeds the dense cap 4096\n"
 
     def test_unbounded_bound_prints_unbounded(self, capsys):
         # E = 4e-13 is below the bound's zero tolerance, so t_qsl is infinite

@@ -1,6 +1,7 @@
 """Tests for the concrete constructions and their analytic oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from qslsim import (
     survival,
 )
 from qslsim.dynamics import _SurvivalSignal
+from qslsim.qcore import _in_eigenbasis
 from conftest import random_hermitian
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -447,6 +449,37 @@ class TestStructuredEigensystems:
             rho = DensityMatrix(h.layout, 0.7 * np.outer(vecs[0], vecs[0].conj())
                                 + 0.3 * np.outer(vecs[1], vecs[1].conj()))
             assert_allclose(survival(rho, h, ts), survival(rho, dense, ts), rtol=0, atol=1e-12)
+
+    def test_factored_rotation_matches_the_formed_eigenvectors(self, rng):
+        # conj(L^T Psi* R)[order] against conj(V^T psi*) with V formed on demand:
+        # on the constructions' sparse states both sums are exact, bit for bit
+        systems = [make_collective(CollectiveSpec(m, 0.7, 1.3, tuple(rng.integers(0, 2, m))))
+                   for m in range(1, 11)]
+        systems += [make_grouped(g, q, 0.8, 1.1)
+                    for g in range(1, 11) for q in range(1, 11) if g * q <= 10]
+        systems += [make_psi_ent(EntangledChainSpec(n, m, 0.9))[:2]
+                    for n, m in ((2, 1), (2, 10), (3, 5), (4, 4), (8, 3))]
+        for state, h in systems:
+            evecs = h.eigensystem()[1]
+            assert np.array_equal(_in_eigenbasis(state, h),
+                                  (evecs.T @ state.amplitudes.conj()).conj())
+        for name in ("local-sum-2x3x4", "local-sum-5", "local-sum-16x32", "local-sum-9-qubits"):
+            state, h = STRUCTURED[name]()
+            evecs = h.eigensystem()[1]
+            assert_allclose(_in_eigenbasis(state, h), (evecs.T @ state.amplitudes.conj()).conj(),
+                            rtol=0, atol=1e-15)
+
+    def test_solving_a_construction_forms_no_dense_array(self):
+        # D = 4096, where the matrix or the eigenvectors alone take 256 MiB
+        tracemalloc.start()
+        try:
+            state, h = make_collective(CollectiveSpec(12, 1.0, 1.7))
+            first_orthogonal_time(state, h)
+            energy_stats(state, h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
     @pytest.mark.parametrize("omega0,omega", [(1.0, 0.0), (0.0, 1.0), (0.8, 1.7)])
     def test_collective_signal_merges_degenerate_levels(self, omega0, omega):

@@ -229,8 +229,9 @@ class TestCosineSumSignal:
             evals[rng.integers(1, dim, dim // 2)] = evals[0]
             evals = np.sort(np.repeat(evals, rng.integers(1, 4, dim)))[:dim] - evals[0]
             u = random_unitary(rng, dim)
-            h = Hamiltonian._from_eigensystem(SubsystemLayout((dim,)), (u * evals) @ u.conj().T,
-                                              evals, u)
+            matrix = (u * evals) @ u.conj().T
+            h = Hamiltonian._from_eigensystem(SubsystemLayout((dim,)), lambda m=matrix: m,
+                                              evals, [u], np.arange(dim))
             systems += [(random_pure(rng, dim), h), (random_density(rng, dim, rank=3), h)]
         for state, h in systems:
             signal = _SurvivalSignal(state, h)
@@ -453,6 +454,20 @@ class TestScanFirstZero:
                 res = first_orthogonal_time(state, h, SearchOptions(horizon=20.0))
             assert not res.found
             assert abs(survival(state, h, res.t_at_min) - res.min_overlap) <= 1e-15
+
+    def test_flat_zero_below_the_tolerance_ends_at_the_zero_floor(self, monkeypatch):
+        # the product survival cos^16 t stays below 1e-13 across a valley ~0.3
+        # wide; a cell bound below 0 would keep its cells live down to ~1e-7 width
+        evaluate, points = _SurvivalSignal.evaluate, []
+
+        def counted(signal, ts):
+            points.append(np.size(ts))
+            return evaluate(signal, ts)
+
+        monkeypatch.setattr(_SurvivalSignal, "evaluate", counted)
+        res = first_orthogonal_time(*make_grouped(4, 2, 1.0, 0.0), SearchOptions(ortho_tol=1e-300))
+        assert not res.found and res.min_overlap <= 1e-13
+        assert sum(points) < 100_000
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from qslsim import (
     tensor_product,
 )
 from qslsim import qcore
-from qslsim.qcore import _HUGE_PAGE, _dimension_within, _pairs_to_array
+from qslsim.qcore import _dimension_within, _pairs_to_array
 from conftest import (matrix_energy_stats, random_density, random_hermitian, random_pure,
                       random_unitary)
 
@@ -215,6 +216,17 @@ class TestTypeInvariants:
         assert np.array_equal(h.eigensystem()[0], before[0])
         assert np.array_equal(h.eigensystem()[1], before[1])
 
+    def test_pickle_carries_the_formed_arrays(self):
+        # the arrays of a construction or a ground shift are formed by closures,
+        # which do not pickle: the pickle holds the arrays themselves
+        for h in (make_grouped(2, 2, 1.0, 0.5)[1],
+                  ground_shift(Hamiltonian(SubsystemLayout((2,)), np.diag([-1.0, 1.0])))):
+            back = pickle.loads(pickle.dumps(h))
+            assert back.ground_energy == h.ground_energy
+            assert np.array_equal(back.matrix, h.matrix)
+            for got, want in zip(back.eigensystem(), h.eigensystem()):
+                assert np.array_equal(got, want)
+
     def test_hamiltonian_ground_energy_cached(self):
         h = Hamiltonian(SubsystemLayout((2,)), np.diag([-1.0, 1.0]).astype(complex))
         assert h.ground_energy == pytest.approx(-1.0)
@@ -387,6 +399,7 @@ class TestGroundShift:
                             rtol=0, atol=1e-15)
             assert not shifted.matrix.flags.writeable
             assert np.array_equal(h.matrix, before)  # the input is not touched
+            assert shifted.eigensystem()[1] is h.eigensystem()[1]
 
 
 class TestEnergyStats:
@@ -608,19 +621,19 @@ class TestNoninteracting:
         assert_allclose(total.matrix, manual, atol=1e-15)
         assert total.is_ground_shifted
 
-    def test_large_matrices_start_on_a_huge_page(self):
-        # D = 512 (4 MiB): the matrix and its eigenvectors are aligned views,
-        # read-only, and the matrix holds exactly the embedded local terms
+    def test_large_matrix_formed_on_first_read(self):
+        # D = 512: the matrix and the eigenvectors, formed from the factors on
+        # first read, are read-only, formed once, and the matrix holds exactly
+        # the embedded local terms
         local = Hamiltonian(SubsystemLayout((8,)), np.diag(1.3 * np.arange(8.0)).astype(complex))
         total = noninteracting_hamiltonian([local] * 3)
         lay = total.layout
         manual = sum(embed_local(local.matrix, site, lay) for site in range(3))
         assert np.array_equal(total.matrix, manual)
         evecs = total.eigensystem()[1]
+        assert total.eigensystem()[1] is evecs and total.matrix is total.matrix
         for arr in (total.matrix, evecs):
-            assert arr.ctypes.data % _HUGE_PAGE == 0
-            assert arr.flags.c_contiguous and arr.dtype == complex
-        assert not total.matrix.flags.writeable
+            assert not arr.flags.writeable
         assert_allclose(evecs @ np.diag(total.eigensystem()[0]) @ evecs.conj().T,
                         manual, rtol=0, atol=1e-12)
 
