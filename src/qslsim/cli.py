@@ -315,7 +315,9 @@ def _in_first_valley(groups: int, group: CollectiveSpec, times: Sequence[float],
         return np.abs(collective_overlap_fn(group, ts)) ** (2 * groups)
 
     bandwidth = groups * group.bandwidth
-    first = scan_first_zero(product, max(times), bandwidth, accept_tol=tol, scale=1.0)
+    # the product state's variance is groups times the group's
+    first = scan_first_zero(product, max(times), bandwidth, accept_tol=tol, scale=1.0,
+                            curvature=2.0 * groups * (group.spread / bandwidth) ** 2)
     if not first.found:
         return False
     lo, hi = min(first.t_perp, *times), max(first.t_perp, *times)

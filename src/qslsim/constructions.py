@@ -270,8 +270,10 @@ def collective_t_perp(spec: CollectiveSpec,
     def squared(ts: np.ndarray) -> np.ndarray:
         return np.abs(collective_overlap_fn(spec, ts)) ** 2
 
+    # the survival of a pure state: its curvature is 2 variance at most
     return scan_first_zero(squared, horizon, spec.bandwidth,
-                           accept_tol=_AMPLITUDE_TOL ** 2, scale=1.0)
+                           accept_tol=_AMPLITUDE_TOL ** 2, scale=1.0,
+                           curvature=2.0 * (spec.spread / spec.bandwidth) ** 2)
 
 
 def grouped_t_perp(groups: int, per_group: int, omega0: float, omega: float,

@@ -7,12 +7,14 @@ sum of squares, ||z(t)^T F||^2 with z_a(t) = exp(-i lam_a t) over the distinct
 levels and F a factor of |rho_ab|^2 in the eigenbasis, evaluated with one
 matrix product per block of times of bounded size.  The solver locates the smallest
 positive time at which it drops to (numerical) zero by scanning at a step set
-by the spectral bandwidth of the signal.  Bernstein's inequality bounds how far
-the signal can dip between samples.  Only the bracketed minima that may hold a
+by the spectral bandwidth of the signal.  The survival's own curvature at
+t = 0 (or Bernstein's inequality, where that is tighter) bounds how far the
+signal can dip between samples.  Only the bracketed minima that may hold a
 zero are searched for one, one by one and in time order, by a fine scan and
-golden-section search on the fine minima that can still reach the tolerance.
-When there is no zero, branch and bound over the candidate brackets locates
-the reported minimum.
+golden-section search on the fine minima that can still reach the tolerance;
+a search gives up once the bound shows that it cannot.  When there is no
+zero, branch and bound over the candidate brackets locates the reported
+minimum.
 """
 
 from __future__ import annotations
@@ -63,6 +65,10 @@ _PAIR_CUT = 1e-18  # levels and factor columns whose terms stay below this are d
 _EVAL_BUDGET = 1 << 16
 _REFINE_SUBDIVISIONS = 64
 _GOLDEN_MAX_ITER = 200
+#: A golden section gives up only where the signal provably stays above the
+#: acceptance threshold plus this fraction of its supremum, a slack for its
+#: round-off.
+_GIVE_UP_RTOL = 1e-13
 #: NotFound minima are located to this fraction of the signal's supremum.
 _MINIMUM_RTOL = 1e-13
 _MAX_SAMPLES = 20_000_000
@@ -175,6 +181,12 @@ class _SurvivalSignal:
 
     ``bandwidth`` is the spectral range actually populated by the state: the
     highest angular frequency in s(t), which sets the scan step.
+    ``curvature`` bounds |s''(t)| at every t in units of bandwidth**2: with
+    M_ab >= 0, s(t) = sum_ab M_ab cos((lam_a - lam_b) t), so |s''(t)| <= -s''(0)
+    = sum_ab M_ab (lam_a - lam_b)**2, 2 S sum_a w_a (lam_a - mean)**2 with S =
+    sum_a w_a for a pure state.  Each gap is divided by the bandwidth before it
+    is squared, so no spectrum overflows it; where the terms of unpopulated
+    levels do, it is infinite.
     ``populations`` are the state's eigenvector weights, ``energy_stats``' input.
     """
 
@@ -193,7 +205,11 @@ class _SurvivalSignal:
             # phases may overflow: E >= w * lam bounds horizon * lam only by ~10 pi / w.
             # Exact zeros stay, so the other levels' sums keep their order.
             kept = (weights == 0.0) | (weights * weights > 0.0)
-            levels, factor = levels[kept], weights[kept, None]
+            levels, w = levels[kept], weights[kept]
+            factor = w[:, None]
+            with np.errstate(all="ignore"):  # overflow, or 0 * inf: no finite bound
+                spread = (levels - np.dot(w, levels) / w.sum()) / self.bandwidth
+                curvature = 2.0 * w.sum() * np.dot(w, spread * spread)
         else:
             # The widest gap between two levels that share a populated
             # coherence: populated is symmetric, so it is the largest signed
@@ -201,39 +217,47 @@ class _SurvivalSignal:
             coeffs = np.abs(rotated) ** 2
             populated = coeffs > _SUPPORT_CUT
             populated = populated | populated.T
-            self.bandwidth = float(np.subtract.outer(evals, evals)[populated].max(initial=0.0))
+            gaps = np.subtract.outer(evals, evals)
+            self.bandwidth = float(gaps[populated].max(initial=0.0))
+            # sum_ab |rho_ab|^2 (gap_ab / bandwidth)^2, in place: the merged
+            # levels' M gives the same sum, as merged pairs share their gap
+            with np.errstate(all="ignore"):
+                gaps /= self.bandwidth
+                curvature = np.vdot(coeffs, np.square(gaps, out=gaps))
+            del gaps  # D x D, not to be held through the factor's eigh
             levels, factor = _mixed_factor(coeffs, levels, level)
+        self.curvature = float(curvature) if math.isfinite(curvature) else math.inf
         # -i * levels as a row: each block's phases are one rank-1 product,
         # which (unlike a broadcast outer product) needs no buffer of its size
         self._phase_rates = -1j * levels[None, :]
         self._weights = np.ascontiguousarray(factor, dtype=complex)
         self._ones = np.ones(2 * factor.shape[1])  # sums a row of squares as one product
+        # 16 bytes per phase and per amplitude: a block of this many times
+        # stays within 8 * _EVAL_BUDGET bytes
+        self._rows = max(1, _EVAL_BUDGET // (2 * sum(self._weights.shape)))
         self.initial = float(self.evaluate(np.zeros(1))[0])
 
     def evaluate(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         flat = ts.reshape(-1)
         out = np.empty(flat.shape, dtype=float)
-        # 16 bytes per phase and per amplitude: a block of rows times stays
-        # within 8 * _EVAL_BUDGET bytes, and every block reuses the same arrays.
-        rows = max(1, _EVAL_BUDGET // (2 * sum(self._weights.shape)))
-        size = min(rows, flat.size)
-        phases = np.empty((size, self._weights.shape[0]), dtype=complex)
-        amps = np.empty((size, self._weights.shape[1]), dtype=complex)
-        for start in range(0, flat.size, rows):
-            block = flat[start:start + rows]
-            z, amp = phases[:block.size], amps[:block.size]
-            np.matmul(block[:, None], self._phase_rates, out=z)
-            np.exp(z, out=z)
-            np.matmul(z, self._weights, out=amp)
-            squares = amp.view(float)
-            np.square(squares, out=squares)
-            # The row sums as a real BLAS product also clear the upper vector
-            # registers that OpenBLAS's complex gemm leaves dirty; left dirty,
-            # they slowed libm's complex exp in the next block ~17-fold on an
-            # AVX-512 Xeon.
-            np.matmul(squares, self._ones, out=out[start:start + block.size])
+        for start in range(0, flat.size, self._rows):
+            stop = start + self._rows
+            self._block(flat[start:stop], out[start:stop])
         return out.reshape(ts.shape)
+
+    def _block(self, block: np.ndarray, out: np.ndarray) -> None:
+        """Writes s at the times ``block`` to ``out``; the block's work arrays
+        are freed on return, before the next block's are made."""
+        z = np.matmul(block[:, None], self._phase_rates)
+        np.exp(z, out=z)
+        squares = np.matmul(z, self._weights).view(float)
+        np.square(squares, out=squares)
+        # The row sums as a real BLAS product also clear the upper vector
+        # registers that OpenBLAS's complex gemm leaves dirty; left dirty,
+        # they slowed libm's complex exp in the next block ~17-fold on an
+        # AVX-512 Xeon.
+        np.matmul(squares, self._ones, out=out)
 
 
 def survival(state: State, hamiltonian: Hamiltonian, t) -> float | np.ndarray:
@@ -254,24 +278,37 @@ def survival(state: State, hamiltonian: Hamiltonian, t) -> float | np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _golden_min(fn: Callable[[float], float], a: float, b: float,
-                xtol: float) -> tuple[float, float]:
-    """Golden-section minimum of fn on [a, b]; returns the best point seen."""
+def _golden_min(fn: Callable[[float], float], a: float, b: float, fa: float, fb: float,
+                xtol: float, rate: float, goal: float) -> tuple[float, float]:
+    """Golden-section minimum of fn on [a, b], with fn(a) = fa and fn(b) = fb;
+    returns the best point seen.
+
+    A signal with |fn''| <= rate**2 lies at most (rate * w)**2 / 8 below the
+    lower end of a cell w wide.  Before each step the search gives up, and
+    returns its best point so far, once that is above ``goal`` and so is the
+    bound on each cell between the points it holds: no later point can reach
+    ``goal`` then.
+    """
     x1 = b - _INV_GOLDEN * (b - a)
     x2 = a + _INV_GOLDEN * (b - a)
     f1, f2 = fn(x1), fn(x2)
     best_x, best_f = (x1, f1) if f1 <= f2 else (x2, f2)
     for _ in range(_GOLDEN_MAX_ITER):
+        if (best_f > goal
+                and min(fa, f1) - (rate * (x1 - a)) ** 2 / 8.0 > goal
+                and min(f1, f2) - (rate * (x2 - x1)) ** 2 / 8.0 > goal
+                and min(f2, fb) - (rate * (b - x2)) ** 2 / 8.0 > goal):
+            return best_x, best_f
         if b - a <= xtol:
             break
         if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
+            b, fb, x2, f2 = x2, f2, x1, f1
             x1 = b - _INV_GOLDEN * (b - a)
             f1 = fn(x1)
             if f1 < best_f:
                 best_x, best_f = x1, f1
         else:
-            a, x1, f1 = x1, x2, f2
+            a, fa, x1, f1 = x1, f1, x2, f2
             x2 = a + _INV_GOLDEN * (b - a)
             f2 = fn(x2)
             if f2 < best_f:
@@ -284,7 +321,8 @@ def _golden_min(fn: Callable[[float], float], a: float, b: float,
 
 
 def _refine_bracket(vec_fn: Callable[[np.ndarray], np.ndarray],
-                    a: float, b: float, accept_tol: float, rate: float, xtol: float):
+                    a: float, b: float, accept_tol: float, rate: float, xtol: float,
+                    goal: float):
     """Look for a zero in a candidate bracket: fine scan, then golden section.
 
     Only interior minima of the fine grid qualify: a sub-threshold value at a
@@ -293,8 +331,9 @@ def _refine_bracket(vec_fn: Callable[[np.ndarray], np.ndarray],
     neighboring, overlapping candidate brackets.  A signal with
     |s''| <= rate**2 lies at most (rate * dx)**2 / 8 below the lower of two
     fine samples dx apart, so only minima within that of ``accept_tol`` are
-    refined.  They are processed left to right so the first acceptable
-    zero wins; returns (found, t, value).
+    refined, each by a golden section that gives up once it cannot reach
+    ``goal`` (>= ``accept_tol``).  They are processed left to right so the
+    first acceptable zero wins; returns (found, t, value).
     """
     xs = np.linspace(a, b, _REFINE_SUBDIVISIONS + 1)
     ys = vec_fn(xs)
@@ -304,7 +343,8 @@ def _refine_bracket(vec_fn: Callable[[np.ndarray], np.ndarray],
                  & (mid <= accept_tol + (rate * dx) ** 2 / 8.0))
     scalar = lambda x: float(vec_fn(np.array([x]))[0])
     for j in np.flatnonzero(reachable) + 1:
-        t, value = _golden_min(scalar, float(xs[j - 1]), float(xs[j + 1]), xtol)
+        t, value = _golden_min(scalar, float(xs[j - 1]), float(xs[j + 1]),
+                               float(ys[j - 1]), float(ys[j + 1]), xtol, rate, goal)
         if value <= accept_tol:
             return True, t, value
     return False, None, None
@@ -343,27 +383,34 @@ def scan_first_zero(vec_fn: Callable[[np.ndarray], np.ndarray],
                     horizon: float,
                     bandwidth: float,
                     accept_tol: float,
-                    scale: float) -> OrthogonalityResult:
+                    scale: float,
+                    curvature: float = math.inf) -> OrthogonalityResult:
     """First t in (0, horizon] where a nonnegative oscillatory signal <= tol.
 
     ``vec_fn`` maps an array of times to signal values; ``bandwidth`` is the
     largest angular frequency present and ``scale`` the signal's supremum.
-    The signal is sampled at step h <= SCAN_FRACTION * pi / bandwidth.
-    Candidate brackets, two steps wide, are centered on the sampled local
-    minima and on every sample low enough that a zero could hide next to it.
+    ``curvature`` is a bound on |s''| in units of bandwidth**2, such as the
+    survival's -s''(0) (``_SurvivalSignal.curvature``); by default only
+    Bernstein's holds.  The signal is sampled at step
+    h <= SCAN_FRACTION * pi / bandwidth.  Candidate brackets, two steps wide,
+    are centered on the sampled local minima and on every sample low enough
+    that a zero could hide next to it.
 
     Bernstein's inequality applied to s - scale/2, which lies within
-    +-scale/2, gives |s''| <= rate**2 with rate = bandwidth * sqrt(scale / 2),
-    so the signal lies at most margin = (rate * h)**2 / 8 below its nearest
-    sample.  Every such bound is evaluated as (rate * width)**2 / 8: rate * h
-    is of order one at any frequency, so no finite bandwidth or scale
-    overflows it.  Brackets whose lowest sample is at or below
-    ``accept_tol + margin`` may hold a zero: they are searched one at a time,
-    in time order, by a fine scan plus golden-section search on the fine
-    minima that can still reach ``accept_tol``, and the first refined value
-    at or below it is returned.  When no zero is found, branch and bound over
-    the cells of all candidate brackets lowers the reported minimum to within
-    ``_MINIMUM_RTOL * scale`` of the signal's minimum on them.
+    +-scale/2, gives |s''| <= rate**2 with rate = bandwidth * sqrt(scale / 2).
+    The triage takes the tighter of the two bounds, rate = bandwidth *
+    sqrt(min(curvature, scale / 2)), so the signal lies at most
+    margin = (rate * h)**2 / 8 below its nearest sample.  Every such bound
+    is evaluated as (rate * width)**2 / 8: rate * h is of order one at any
+    frequency, so no finite bandwidth or scale overflows it.  Brackets whose
+    lowest sample is at or below ``accept_tol + margin`` may hold a zero:
+    they are searched one at a time, in time order, by a fine scan plus
+    golden-section search on the fine minima that can still reach
+    ``accept_tol``, and the first refined value at or below it is returned.
+    When no zero is found, branch and bound over the cells of all candidate
+    brackets lowers the reported minimum to within ``_MINIMUM_RTOL * scale``
+    of the signal's minimum on them, under Bernstein's bound alone (with the
+    tighter one it stops sooner, on other near-tied minima).
     """
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise InvariantViolation(f"horizon must be positive and finite, got {horizon}")
@@ -371,6 +418,8 @@ def scan_first_zero(vec_fn: Callable[[np.ndarray], np.ndarray],
         raise InvariantViolation(f"bandwidth must be positive, got {bandwidth}")
     if not (accept_tol > 0.0):
         raise InvariantViolation(f"accept_tol must be positive, got {accept_tol}")
+    if not (curvature >= 0.0):
+        raise InvariantViolation(f"curvature must be nonnegative, got {curvature}")
 
     step_target = SCAN_FRACTION * math.pi / bandwidth
     samples = horizon / step_target  # inf where it overflows, which ceil cannot take
@@ -387,7 +436,8 @@ def scan_first_zero(vec_fn: Callable[[np.ndarray], np.ndarray],
     xtol = min(_GOLDEN_XTOL, 1e-9 * step)
     screen = 1.5 * (SCAN_FRACTION * math.pi / 2.0) ** 2 * scale
     rate = bandwidth * math.sqrt(scale / 2.0)
-    margin = (rate * step) ** 2 / 8.0
+    triage_rate = bandwidth * math.sqrt(min(curvature, scale / 2.0))
+    margin = (triage_rate * step) ** 2 / 8.0
 
     inner = vals[1:count]
     dips = ((inner <= vals[:count - 1]) & (inner <= vals[2:])) | (inner <= screen)
@@ -398,9 +448,10 @@ def scan_first_zero(vec_fn: Callable[[np.ndarray], np.ndarray],
     lowest = np.minimum(np.minimum(vals[candidates - 1], vals[candidates]), vals[right])
     zero_capable = lowest <= accept_tol + margin
 
+    goal = accept_tol + _GIVE_UP_RTOL * scale
     for i, j in zip(candidates[zero_capable], right[zero_capable]):
         found, t, value = _refine_bracket(
-            vec_fn, float(ts[i - 1]), float(ts[j]), accept_tol, rate, xtol
+            vec_fn, float(ts[i - 1]), float(ts[j]), accept_tol, triage_rate, xtol, goal
         )
         if found:
             return OrthogonalityResult(True, t, max(value, 0.0), t, horizon)
@@ -450,4 +501,4 @@ def first_orthogonal_time(state: State, hamiltonian: Hamiltonian,
             return OrthogonalityResult(False, None, signal.initial, 0.0, 0.0)
         horizon = HORIZON_MULTIPLIER * bound.time
     return scan_first_zero(signal.evaluate, horizon, signal.bandwidth, opts.ortho_tol,
-                           scale=signal.initial)
+                           scale=signal.initial, curvature=signal.curvature)

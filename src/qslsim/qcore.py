@@ -59,6 +59,22 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two matrices, the same products as one broadcast product
+    without its generic n-d set-up."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
+def _refreeze(self, state: dict) -> None:
+    """``__setstate__`` of the value types: a pickle does not carry numpy's
+    write flag, so the unpickled arrays are made read-only again."""
+    for value in state.values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    self.__dict__.update(state)
+
+
 def _checked(raw, shape: tuple[int, ...], name: str, hermitian: bool = False) -> np.ndarray:
     """``raw`` as a complex array of ``shape`` with finite entries, and Hermitian
     when asked: within HERM_TOL relative to the largest entry, and absolute where
@@ -152,6 +168,8 @@ class PureState:
             raise InvariantViolation(f"state norm is {norm!r}, expected 1 within {NORM_TOL}")
         object.__setattr__(self, "amplitudes", _freeze(vec))
 
+    __setstate__ = _refreeze
+
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
@@ -175,6 +193,8 @@ class DensityMatrix:
                 f"density matrix has eigenvalue {lowest:.3e} below the PSD slack -{PSD_TOL}"
             )
         object.__setattr__(self, "matrix", _freeze(mat))
+
+    __setstate__ = _refreeze
 
 
 State = Union[PureState, DensityMatrix]
@@ -212,8 +232,8 @@ class Hamiltonian:
         # Eigenvectors: columns ``order`` of the Kronecker product of the square
         # ``factors``, L and R that of their halves; ``build()`` forms the matrix.
         half = len(factors) // 2
-        left = reduce(np.kron, factors[:half], _UNIT)
-        right = reduce(np.kron, factors[half:], _UNIT)
+        left = reduce(_kron, factors[:half], _UNIT)
+        right = reduce(_kron, factors[half:], _UNIT)
 
         def evecs() -> np.ndarray:
             # column (i, j) of L (x) R is L[:, i] (x) R[:, j]
@@ -247,6 +267,8 @@ class Hamiltonian:
 
     def __getstate__(self) -> dict:  # a pickle carries the formed arrays, not their forms
         return {**self.__dict__, "matrix": self.matrix, "_evecs": self._evecs, "_forms": {}}
+
+    __setstate__ = _refreeze
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenvalues and the matching orthonormal eigenvector columns,

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -95,3 +96,39 @@ def matrix_energy_stats(state, hamiltonian) -> EnergyStats:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260810)
+
+
+@dataclass
+class ScanWork:
+    """Signal calls made by the scans of a test: all of them, those at a single
+    time (golden-section steps) and the times sampled."""
+
+    calls: int = 0
+    scalar_calls: int = 0
+    points: int = 0
+
+
+@pytest.fixture
+def scan_work(monkeypatch) -> ScanWork:
+    """Counts the work of every ``scan_first_zero`` run in the test.
+
+    Each scan's signal function is wrapped where the scan receives it, in every
+    module that calls the scan, so that a change that refines more fails by
+    count rather than by time.
+    """
+    from qslsim import cli, constructions, dynamics
+
+    work, scan = ScanWork(), dynamics.scan_first_zero
+
+    def counted_scan(vec_fn, *args, **kwargs):
+        def counted(ts):
+            size = int(np.size(ts))
+            work.calls += 1
+            work.scalar_calls += size == 1
+            work.points += size
+            return vec_fn(ts)
+        return scan(counted, *args, **kwargs)
+
+    for module in (dynamics, constructions, cli):
+        monkeypatch.setattr(module, "scan_first_zero", counted_scan)
+    return work

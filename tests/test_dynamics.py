@@ -173,6 +173,45 @@ class TestCosineSumSignal:
         return (np.exp(-1j * np.outer(ts, gaps)) @ coeffs.reshape(-1)).real
 
     @staticmethod
+    def direct_second_derivative(matrix, h, ts):
+        # s''(t) = -sum_{ab} |rho_ab|^2 (lam_a - lam_b)^2 exp(-i (lam_a - lam_b) t), all D^2 terms
+        evals, evecs = h.eigensystem()
+        coeffs = np.abs(evecs.conj().T @ matrix @ evecs) ** 2
+        gaps = (evals[:, None] - evals[None, :]).reshape(-1)
+        return -(np.exp(-1j * np.outer(ts, gaps)) @ (coeffs.reshape(-1) * gaps ** 2)).real
+
+    def test_curvature_bounds_the_second_derivative(self, rng):
+        # |s''(t)| <= -s''(0) = curvature * bandwidth^2, attained at t = 0, and
+        # never above Bernstein's bandwidth^2 * s(0) / 2; 2 dE^2 for a pure state
+        systems = [(random_pure(rng, 6), random_shifted_hamiltonian(rng, 6)),
+                   (random_density(rng, 6), random_shifted_hamiltonian(rng, 6)),
+                   (random_density(rng, 8, rank=2), random_shifted_hamiltonian(rng, 8)),
+                   self.degenerate_system(rng, 9), make_grouped(2, 2, 1.0, 0.5),
+                   make_psi_ent(EntangledChainSpec(2, 3, 0.7))[:2]]
+        ts = np.linspace(0.0, 30.0, 1201)
+        for state, h in systems:
+            signal = _SurvivalSignal(state, h)
+            pure = isinstance(state, PureState)
+            matrix = np.outer(state.amplitudes, state.amplitudes.conj()) if pure else state.matrix
+            second = np.abs(self.direct_second_derivative(matrix, h, ts))
+            bound = signal.curvature * signal.bandwidth ** 2
+            assert second.max() <= bound * (1.0 + 1e-12)
+            assert second[0] == pytest.approx(bound, rel=1e-12)
+            assert signal.curvature <= signal.initial / 2.0 * (1.0 + 1e-12)
+            if pure:
+                assert bound == pytest.approx(2.0 * energy_stats(state, h).spread ** 2, rel=1e-12)
+
+    def test_curvature_past_the_float_range_falls_back_to_bernstein(self):
+        # bandwidth 1 between the populated levels, and a weight of 1e-20 (below
+        # the support cut) at 1e300: the curvature overflows, silently
+        lay = SubsystemLayout((3,))
+        h = Hamiltonian(lay, np.diag([0.0, 1.0, 1e300]).astype(complex))
+        state = PureState(lay, np.array([INV_SQRT2, INV_SQRT2, 1e-10]))
+        signal = _SurvivalSignal(state, h)
+        assert signal.bandwidth == pytest.approx(1.0) and signal.curvature == math.inf
+        assert not first_orthogonal_time(state, h).found
+
+    @staticmethod
     def degenerate_system(rng, dim):
         # exactly repeated integer levels (a diagonal H keeps them exact):
         # zero gaps and many equal gaps

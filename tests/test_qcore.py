@@ -1,5 +1,6 @@
 """Tests for the value types and linear-algebra primitives."""
 
+import functools
 import itertools
 import math
 import pickle
@@ -11,8 +12,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qslsim import (
+    CollectiveSpec,
     DensityMatrix,
     EnergyStats,
+    EntangledChainSpec,
     Hamiltonian,
     InvariantViolation,
     PureState,
@@ -24,8 +27,10 @@ from qslsim import (
     energy_stats,
     ground_shift,
     load_system,
+    make_collective,
     make_grouped,
     make_mixture_demo,
+    make_psi_ent,
     noninteracting_hamiltonian,
     qsl_time,
     spectral_decompose,
@@ -226,6 +231,41 @@ class TestTypeInvariants:
             assert np.array_equal(back.matrix, h.matrix)
             for got, want in zip(back.eigensystem(), h.eigensystem()):
                 assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("build", [
+        lambda: Hamiltonian(SubsystemLayout((2,)), np.diag([0.0, 1.0]).astype(complex)),
+        lambda: make_grouped(2, 2, 1.0, 0.5)[1],
+        lambda: make_grouped(2, 2, 1.0, 0.5)[0],
+        lambda: DensityMatrix(SubsystemLayout((2,)), np.eye(2) / 2.0),
+    ], ids=["dense", "grouped", "pure", "density"])
+    def test_unpickled_arrays_stay_read_only(self, build):
+        # numpy does not pickle the write flag: unpickling freezes the arrays again
+        back = pickle.loads(pickle.dumps(build()))
+        arrays = [value for value in vars(back).values() if isinstance(value, np.ndarray)]
+        assert arrays and not any(arr.flags.writeable for arr in arrays)
+
+    def test_kron_halves_equal_np_kron_bit_for_bit(self, monkeypatch):
+        # the Kronecker halves of every construction, as one broadcast product
+        recorded, install = [], Hamiltonian._from_eigensystem.__func__
+
+        def spy(cls, layout, build, evals, factors, order):
+            recorded.append(list(factors))
+            return install(cls, layout, build, evals, factors, order)
+
+        monkeypatch.setattr(Hamiltonian, "_from_eigensystem", classmethod(spy))
+        make_collective(CollectiveSpec(5, 0.7, 1.3))
+        make_grouped(2, 3, 1.0, 0.5)
+        make_psi_ent(EntangledChainSpec(3, 3, 0.7))
+        local = Hamiltonian(SubsystemLayout((3,)), random_hermitian(np.random.default_rng(5), 3))
+        noninteracting_hamiltonian([ground_shift(local)] * 3)
+        assert len(recorded) == 5  # make_grouped installs its group block, then the sum
+        for factors in recorded:
+            half = len(factors) // 2
+            for part in (factors[:half], factors[half:], factors):
+                want = functools.reduce(np.kron, part, qcore._UNIT)
+                got = functools.reduce(qcore._kron, part, qcore._UNIT)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
     def test_hamiltonian_ground_energy_cached(self):
         h = Hamiltonian(SubsystemLayout((2,)), np.diag([-1.0, 1.0]).astype(complex))
