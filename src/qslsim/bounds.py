@@ -67,23 +67,15 @@ class BoundResult:
 
 
 def _max_bound(energy: float, spread: float, degenerate: bool = False) -> BoundResult:
-    e_zero = energy <= ZERO_TOL
-    s_zero = spread <= ZERO_TOL
-    if e_zero or s_zero:
-        if e_zero and s_zero:
-            branch = Branch.EQUAL
-        elif e_zero:
-            branch = Branch.MARGOLUS_LEVITIN
-        else:
-            branch = Branch.TIME_ENERGY
-        return BoundResult(math.inf, branch, degenerate)
-    t_ml = math.pi / (2.0 * energy)
-    t_unc = math.pi / (2.0 * spread)
-    if abs(t_ml - t_unc) <= 1e-12 * max(t_ml, t_unc):
-        return BoundResult(max(t_ml, t_unc), Branch.EQUAL, degenerate)
-    if t_ml > t_unc:
-        return BoundResult(t_ml, Branch.MARGOLUS_LEVITIN, degenerate)
-    return BoundResult(t_unc, Branch.TIME_ENERGY, degenerate)
+    # a vanishing energy or spread gives an infinite time, and two infinite times are equal
+    t_ml = math.pi / (2.0 * energy) if energy > ZERO_TOL else math.inf
+    t_unc = math.pi / (2.0 * spread) if spread > ZERO_TOL else math.inf
+    time = max(t_ml, t_unc)
+    if t_ml == t_unc or (math.isfinite(time) and abs(t_ml - t_unc) <= 1e-12 * time):
+        branch = Branch.EQUAL
+    else:
+        branch = Branch.MARGOLUS_LEVITIN if t_ml > t_unc else Branch.TIME_ENERGY
+    return BoundResult(time, branch, degenerate)
 
 
 def qsl_time(stats: EnergyStats) -> BoundResult:

@@ -203,9 +203,12 @@ class _SurvivalSignal:
             self.bandwidth = float(support.max() - support.min()) if support.size else 0.0
             # A positive weight whose square underflows adds nothing to s(t), but its
             # phases may overflow: E >= w * lam bounds horizon * lam only by ~10 pi / w.
-            # Exact zeros stay, so the other levels' sums keep their order.
+            # Exact zeros stay, so the other levels' sums keep their order; clipped
+            # into the weighted levels' range, their phases stay finite too.
             kept = (weights == 0.0) | (weights * weights > 0.0)
             levels, w = levels[kept], weights[kept]
+            weighted = levels[w > 0.0]  # ascending, as the eigenvalues are
+            levels = levels.clip(weighted[0], weighted[-1])
             factor = w[:, None]
             with np.errstate(all="ignore"):  # overflow, or 0 * inf: no finite bound
                 spread = (levels - np.dot(w, levels) / w.sum()) / self.bandwidth
@@ -392,21 +395,23 @@ def scan_first_zero(vec_fn: Callable[[np.ndarray], np.ndarray],
     ``curvature`` is a bound on |s''| in units of bandwidth**2, such as the
     survival's -s''(0) (``_SurvivalSignal.curvature``); by default only
     Bernstein's holds.  The signal is sampled at step
-    h <= SCAN_FRACTION * pi / bandwidth.  Candidate brackets, two steps wide,
-    are centered on the sampled local minima and on every sample low enough
-    that a zero could hide next to it.
+    h <= SCAN_FRACTION * pi / bandwidth.
 
     Bernstein's inequality applied to s - scale/2, which lies within
     +-scale/2, gives |s''| <= rate**2 with rate = bandwidth * sqrt(scale / 2).
-    The triage takes the tighter of the two bounds, rate = bandwidth *
-    sqrt(min(curvature, scale / 2)), so the signal lies at most
-    margin = (rate * h)**2 / 8 below its nearest sample.  Every such bound
-    is evaluated as (rate * width)**2 / 8: rate * h is of order one at any
-    frequency, so no finite bandwidth or scale overflows it.  Brackets whose
-    lowest sample is at or below ``accept_tol + margin`` may hold a zero:
-    they are searched one at a time, in time order, by a fine scan plus
-    golden-section search on the fine minima that can still reach
-    ``accept_tol``, and the first refined value at or below it is returned.
+    Candidate brackets, two steps wide, are centered on the sampled local
+    minima (past the horizon counts as +inf) and on the samples within
+    Bernstein's dip (rate * h)**2 / 8 of the tolerance, the only places a zero
+    between samples can leave its nearest sample.  The triage takes the
+    tighter of the two bounds, rate = bandwidth * sqrt(min(curvature, scale / 2)),
+    so the signal lies at most margin = (rate * h)**2 / 8 below its nearest
+    sample.  Every such bound is evaluated as (rate * width)**2 / 8: rate * h
+    is of order one at any frequency, so no finite bandwidth or scale
+    overflows it.  Brackets whose lowest sample is at or below
+    ``accept_tol + margin`` may hold a zero: they are searched one at a time,
+    in time order, by a fine scan plus golden-section search on the fine
+    minima that can still reach ``accept_tol``, and the first refined value
+    at or below it is returned.
     When no zero is found, branch and bound over the cells of all candidate
     brackets lowers the reported minimum to within ``_MINIMUM_RTOL * scale``
     of the signal's minimum on them, under Bernstein's bound alone (with the
@@ -434,16 +439,14 @@ def scan_first_zero(vec_fn: Callable[[np.ndarray], np.ndarray],
     step = horizon / count
     # times scale as 1/frequency, so the searches stop at 1e-9 of the step if that is finer
     xtol = min(_GOLDEN_XTOL, 1e-9 * step)
-    screen = 1.5 * (SCAN_FRACTION * math.pi / 2.0) ** 2 * scale
     rate = bandwidth * math.sqrt(scale / 2.0)
     triage_rate = bandwidth * math.sqrt(min(curvature, scale / 2.0))
     margin = (triage_rate * step) ** 2 / 8.0
 
-    inner = vals[1:count]
-    dips = ((inner <= vals[:count - 1]) & (inner <= vals[2:])) | (inner <= screen)
+    inner = vals[1:]  # the horizon sample's right neighbour is +inf
+    dips = (((inner <= vals[:-1]) & (inner <= np.append(vals[2:], np.inf)))
+            | (inner <= accept_tol + (rate * step) ** 2 / 8.0))
     candidates = np.flatnonzero(dips) + 1
-    if vals[count] <= vals[count - 1] or vals[count] <= screen:
-        candidates = np.append(candidates, count)
     right = np.minimum(candidates + 1, count)
     lowest = np.minimum(np.minimum(vals[candidates - 1], vals[candidates]), vals[right])
     zero_capable = lowest <= accept_tol + margin
@@ -480,10 +483,11 @@ def first_orthogonal_time(state: State, hamiltonian: Hamiltonian,
     Requires a ground-shifted Hamiltonian (the default horizon is a multiple
     of ``qsl_time(energy_stats(state, H))``, taken from the signal's
     populations, and only meaningful from a zero ground state).  Stationary
-    states (no populated spectral range) return NotFound immediately.  The
-    located time is accurate to ``TIME_RESOLUTION`` for pure states and
-    density matrices alike: the survival is evaluated as a sum of squares,
-    whose round-off near a zero is itself squared.
+    states (no populated spectral range), and states with no finite default
+    horizon, return NotFound with horizon 0.  The located time is accurate to
+    ``TIME_RESOLUTION`` for pure states and density matrices alike: the
+    survival is evaluated as a sum of squares, whose round-off near a zero is
+    itself squared.
     """
     opts = opts if opts is not None else SearchOptions()
     if not isinstance(opts, SearchOptions):
@@ -491,14 +495,11 @@ def first_orthogonal_time(state: State, hamiltonian: Hamiltonian,
     _require_same_layout(state, hamiltonian)
     _require_ground_shifted(hamiltonian, "hamiltonian")
     signal = _SurvivalSignal(state, hamiltonian)
-    if signal.bandwidth == 0.0:
+    horizon = opts.horizon
+    if horizon is None and signal.bandwidth > 0.0:
+        stats = _level_stats(hamiltonian._evals, signal.populations)
+        horizon = HORIZON_MULTIPLIER * qsl_time(stats).time
+    if signal.bandwidth == 0.0 or horizon == math.inf:  # stationary, or no finite bound
         return OrthogonalityResult(False, None, signal.initial, 0.0, 0.0)
-    if opts.horizon is not None:
-        horizon = opts.horizon
-    else:
-        bound = qsl_time(_level_stats(hamiltonian._evals, signal.populations))
-        if bound.unbounded:
-            return OrthogonalityResult(False, None, signal.initial, 0.0, 0.0)
-        horizon = HORIZON_MULTIPLIER * bound.time
     return scan_first_zero(signal.evaluate, horizon, signal.bandwidth, opts.ortho_tol,
                            scale=signal.initial, curvature=signal.curvature)

@@ -75,9 +75,9 @@ def _refreeze(self, state: dict) -> None:
     self.__dict__.update(state)
 
 
-def _checked(raw, shape: tuple[int, ...], name: str, hermitian: bool = False) -> np.ndarray:
+def _checked(raw, shape: tuple[int, ...], name: str) -> np.ndarray:
     """``raw`` as a complex array of ``shape`` with finite entries, and Hermitian
-    when asked: within HERM_TOL relative to the largest entry, and absolute where
+    if square: within HERM_TOL relative to the largest entry, and absolute where
     no entry exceeds 1, so density matrices keep the absolute check."""
     arr = np.asarray(raw, dtype=complex)
     if arr.shape != shape:
@@ -87,7 +87,7 @@ def _checked(raw, shape: tuple[int, ...], name: str, hermitian: bool = False) ->
     # The invariant checks compare `deviation > tol`, which is false for NaN.
     if not np.isfinite(arr).all():
         raise InvariantViolation(f"{name} has a non-finite entry (NaN or infinity)")
-    if hermitian:
+    if len(shape) == 2:
         with np.errstate(over="ignore"):  # an infinite deviation fails the check
             dev = float(np.abs(arr - arr.conj().T).max())
             scale = float(np.abs(arr).max())
@@ -179,7 +179,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = _checked(self.matrix, (self.layout.total_dim,) * 2, "density matrix", hermitian=True)
+        mat = _checked(self.matrix, (self.layout.total_dim,) * 2, "density matrix")
         with np.errstate(over="ignore"):  # an infinite trace fails the check
             tr = complex(np.trace(mat))
         if abs(tr - 1.0) > TRACE_TOL:
@@ -220,7 +220,7 @@ class Hamiltonian:
     ground_energy: float = field(init=False)
 
     def __post_init__(self) -> None:
-        mat = _checked(self.matrix, (self.layout.total_dim,) * 2, "hamiltonian", hermitian=True)
+        mat = _checked(self.matrix, (self.layout.total_dim,) * 2, "hamiltonian")
         evals, evecs = _eigh(mat, "hamiltonian")
         self._install(self.layout, evals, evecs, _UNIT, np.arange(evals.size), {})
         self.__dict__.update(matrix=_freeze(mat), _evecs=evecs)  # copied after eigh: a lower peak
@@ -426,7 +426,7 @@ def embed_local(op, site: int, layout: SubsystemLayout) -> np.ndarray:
             f"site {site} out of range for {layout.num_subsystems} subsystems"
         )
     local_dim = layout.dims[site]
-    mat = _checked(op, (local_dim, local_dim), f"local operator at site {site}", hermitian=True)
+    mat = _checked(op, (local_dim, local_dim), f"local operator at site {site}")
     out = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
     _add_local(out, mat, site, layout.dims)
     return out
@@ -490,12 +490,15 @@ def _populations(rotated: np.ndarray) -> np.ndarray:
 
 def _level_stats(evals: np.ndarray, populations: np.ndarray) -> EnergyStats:
     """E = sum lam_a p_a and dE = span * sqrt(sum ((lam_a - E) / span)^2 p_a), span the
-    spectral range (1 for one level): centred, and with no square above 1 to overflow."""
+    range of the populated levels (1 for one): centred, and no square above 1 overflows."""
     mean = float(evals @ populations)
     if mean < -1e-8:
         raise NumericalFailure(f"negative mean energy {mean!r} under a shifted hamiltonian")
-    span = float(evals.max() - evals.min()) or 1.0
-    variance = float(((evals - mean) / span) ** 2 @ populations)
+    populated = populations != 0  # not > 0: round-off negatives stay in the sum
+    levels = evals[populated]
+    span = float(levels.max() - levels.min()) or 1.0
+    # masked before the division: an unpopulated level's deviation may overflow it
+    variance = float((np.where(populated, evals - mean, 0.0) / span) ** 2 @ populations)
     return EnergyStats(max(mean, 0.0), span * math.sqrt(max(variance, 0.0)))
 
 
@@ -518,12 +521,12 @@ def state_overlap(a: State, b: State) -> float:
     the two states are orthogonal.
     """
     _require_same_layout(a, b)
+    if isinstance(b, PureState):
+        a, b = b, a
     if isinstance(a, PureState) and isinstance(b, PureState):
         value = abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
     elif isinstance(a, PureState):
         value = float(np.real(np.vdot(a.amplitudes, b.matrix @ a.amplitudes)))
-    elif isinstance(b, PureState):
-        value = float(np.real(np.vdot(b.amplitudes, a.matrix @ b.amplitudes)))
     else:
         value = float(np.real(np.einsum("ij,ji->", a.matrix, b.matrix)))
     return float(min(max(value, 0.0), 1.0))

@@ -100,6 +100,40 @@ class TestQslTime:
             assert s <= e
 
 
+def _four_branch_max_bound(energy, spread, degenerate=False):
+    """``_max_bound`` as it was written with a branch of its own for vanishing
+    energies and spreads, kept verbatim as the reference."""
+    e_zero = energy <= qslsim.bounds.ZERO_TOL
+    s_zero = spread <= qslsim.bounds.ZERO_TOL
+    if e_zero or s_zero:
+        if e_zero and s_zero:
+            branch = Branch.EQUAL
+        elif e_zero:
+            branch = Branch.MARGOLUS_LEVITIN
+        else:
+            branch = Branch.TIME_ENERGY
+        return qslsim.BoundResult(math.inf, branch, degenerate)
+    t_ml = math.pi / (2.0 * energy)
+    t_unc = math.pi / (2.0 * spread)
+    if abs(t_ml - t_unc) <= 1e-12 * max(t_ml, t_unc):
+        return qslsim.BoundResult(max(t_ml, t_unc), Branch.EQUAL, degenerate)
+    if t_ml > t_unc:
+        return qslsim.BoundResult(t_ml, Branch.MARGOLUS_LEVITIN, degenerate)
+    return qslsim.BoundResult(t_unc, Branch.TIME_ENERGY, degenerate)
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_max_bound_matches_the_four_branch_version(degenerate):
+    # a vanishing energy or spread is an infinite time in the one comparison
+    zero_tol = qslsim.bounds.ZERO_TOL
+    grid = [0.0, 1e-13, zero_tol, math.nextafter(zero_tol, 1.0), 1e-6, 0.5, 1.0,
+            math.pi / 2, 1e300]
+    for energy in grid:
+        for spread in grid:
+            assert (repr(_max_bound(energy, spread, degenerate))
+                    == repr(_four_branch_max_bound(energy, spread, degenerate)))
+
+
 # ---------------------------------------------------------------------------
 # separable_pure_bound
 # ---------------------------------------------------------------------------

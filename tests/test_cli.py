@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from qslsim import Hamiltonian, PureState, SubsystemLayout, dump_system, make_psi_ent
 from qslsim import EntangledChainSpec, OrthogonalityResult
 from qslsim.cli import main
+from qslsim.dynamics import TIME_RESOLUTION
 from conftest import random_unitary
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -207,6 +208,26 @@ class TestTperpCmd:
         payload = json.loads(out)
         assert payload["status"] == "Found"
         assert payload["t_perp"] == pytest.approx(math.pi / 1e4, rel=1e-8)
+
+    @pytest.mark.parametrize("flags", [(), ("--horizon", "10"), ("--json",)])
+    def test_unpopulated_level_at_the_float_limit(self, capsys, tmp_path, flags):
+        # half |0> and half |1> of diag(0, 1, 1e308): the empty level neither
+        # hides the spread (horizon 0) nor overflows the survival's phases
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({
+            "dims": [3], "amplitudes": [[0.5, 0.5], [0.5, 0.5], [0, 0]],
+            "hamiltonian": [[0, 0], [0, 0], [0, 0], [0, 0], [1, 0], [0, 0],
+                            [0, 0], [0, 0], [1e308, 0]]}))
+        code, out, err = run(capsys, "tperp", str(path), *flags)
+        assert (code, err) == (0, "")
+        if flags == ("--json",):
+            payload = json.loads(out)
+            assert payload["status"] == "Found"
+            t_perp = payload["t_perp"]
+        else:
+            assert out.startswith("Found t_perp=")
+            t_perp = float(out.split()[1].split("=")[1])
+        assert abs(t_perp - math.pi) <= TIME_RESOLUTION
 
     def test_horizon_flag(self, capsys, tmp_path):
         path = tmp_path / "qubit.json"

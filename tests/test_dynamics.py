@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qslsim import (
+    CollectiveSpec,
     DensityMatrix,
     EntangledChainSpec,
     Hamiltonian,
@@ -16,6 +17,7 @@ from qslsim import (
     PureState,
     SearchOptions,
     SubsystemLayout,
+    collective_t_perp,
     energy_stats,
     evolve,
     first_orthogonal_time,
@@ -27,7 +29,7 @@ from qslsim import (
     state_overlap,
     survival,
 )
-from qslsim import dynamics
+from qslsim import constructions, dynamics
 from qslsim.dynamics import _EVAL_BUDGET, HORIZON_MULTIPLIER, _SurvivalSignal
 from conftest import random_density, random_pure, random_shifted_hamiltonian, random_unitary
 
@@ -457,6 +459,43 @@ class TestScanFirstZero:
         assert res.min_overlap == pytest.approx(0.01, abs=1e-13)
         assert res.t_at_min == pytest.approx(math.pi, abs=1e-6)
 
+    @pytest.mark.parametrize("qubits, ratio", [(3, 6.6), (4, 9.5), (9, 1.7)])
+    def test_brackets_open_only_where_a_zero_can_be(self, monkeypatch, qubits, ratio):
+        # a zero between samples leaves its nearest sample at most Bernstein's
+        # dip above it, so every refined bracket is centred on a sampled local
+        # minimum (the horizon sample's right neighbour counts as +inf) or on
+        # a sample within that dip of the tolerance
+        scans, brackets = [], []
+        scan, refine = constructions.scan_first_zero, dynamics._refine_bracket
+
+        def scan_spy(vec_fn, horizon, bandwidth, **kwargs):
+            def sampled(ts):
+                values = vec_fn(ts)
+                if len(scans) == 1:  # the first call samples the coarse grid
+                    scans.append((ts, values))
+                return values
+
+            scans.append((bandwidth, kwargs["scale"]))
+            return scan(sampled, horizon, bandwidth, **kwargs)
+
+        def refine_spy(vec_fn, a, b, accept_tol, *args):
+            brackets.append((a, b, accept_tol))
+            return refine(vec_fn, a, b, accept_tol, *args)
+
+        monkeypatch.setattr(constructions, "scan_first_zero", scan_spy)
+        monkeypatch.setattr(dynamics, "_refine_bracket", refine_spy)
+        assert collective_t_perp(CollectiveSpec(qubits, 1.0, ratio)).found
+        (bandwidth, scale), (ts, vals) = scans
+        count = ts.size - 1
+        rate = bandwidth * math.sqrt(scale / 2.0)
+        right = np.append(vals[2:], np.inf)
+        assert brackets
+        for a, b, accept_tol in brackets:
+            i = int(np.flatnonzero(ts == a)[0]) + 1
+            assert b == ts[min(i + 1, count)]
+            dip = accept_tol + (rate * ts[-1] / count) ** 2 / 8.0
+            assert (vals[i] <= vals[i - 1] and vals[i] <= right[i - 1]) or vals[i] <= dip
+
     @pytest.mark.parametrize("scan_fraction", [0.05, 0.25, 1.0])
     def test_min_only_pass_matches_mpmath(self, scan_fraction):
         # c + sum_k w_k cos(g_k t) with c = sum_k w_k + 0.05 never drops to
@@ -607,6 +646,21 @@ class TestFirstOrthogonalTime:
         res = first_orthogonal_time(PureState(lay, np.array([1.0, 0.0, 0.0])), h)
         assert not res.found
         assert res.min_overlap == pytest.approx((5 / 9 - 4 / 9) ** 2, rel=1e-9)
+
+    @pytest.mark.parametrize("horizon", [None, 10.0])
+    def test_stationary_and_zero_energy_states_share_one_not_found(self, horizon):
+        # an excited eigenstate and the ground state stand still, and a state
+        # whose energy is below the bound's zero tolerance has no finite
+        # default horizon: each is the NotFound (initial, 0, 0)
+        lay = SubsystemLayout((2,))
+        h = Hamiltonian(lay, np.diag([0.0, 1e-3]).astype(complex))
+        states = [PureState(lay, np.array([0.0, 1.0])), PureState(lay, np.array([1.0, 0.0]))]
+        if horizon is None:
+            states.append(PureState(lay, np.array([math.sqrt(1.0 - 1e-10), 1e-5])))
+        for state in states:
+            initial = float(survival(state, h, 0.0))
+            assert (first_orthogonal_time(state, h, SearchOptions(horizon=horizon))
+                    == dynamics.OrthogonalityResult(False, None, initial, 0.0, 0.0))
 
     def test_not_found_when_horizon_too_short(self):
         state, h = qubit_system()

@@ -541,6 +541,15 @@ class TestEnergyStatsFromPopulations:
             assert got.energy == pytest.approx(scale * ref.energy, rel=1e-13, abs=0.0)
             assert got.spread == pytest.approx(scale * ref.spread, rel=1e-13, abs=0.0)
 
+    def test_unpopulated_level_far_out_does_not_hide_the_spread(self):
+        # the span runs over the populated levels 0 and 1 only: over the empty
+        # one at 1e308 too, every squared deviation would underflow to zero
+        h = Hamiltonian(SubsystemLayout((3,)), np.diag([0.0, 1.0, 1e308]).astype(complex))
+        state = PureState(h.layout, np.array([INV_SQRT2, INV_SQRT2, 0.0]))
+        stats = energy_stats(state, h)
+        assert stats.energy == pytest.approx(0.5, rel=1e-15)
+        assert stats.spread == pytest.approx(0.5, rel=1e-15)
+
 
 # ---------------------------------------------------------------------------
 # state_overlap
@@ -571,6 +580,12 @@ class TestStateOverlap:
             v2 = state_overlap(b, a)
             assert v1 == pytest.approx(v2, abs=1e-12)
             assert 0.0 <= v1 <= 1.0
+
+    def test_argument_order_is_bit_for_bit(self, rng):
+        for _ in range(5):
+            psi, phi, rho = random_pure(rng, 3), random_pure(rng, 3), random_density(rng, 3)
+            assert state_overlap(psi, rho) == state_overlap(rho, psi)
+            assert state_overlap(psi, phi) == state_overlap(phi, psi)
 
     def test_pure_mixed_agrees_with_projector(self, rng):
         for _ in range(5):
