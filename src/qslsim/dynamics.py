@@ -14,7 +14,9 @@ zero are searched for one, one by one and in time order, by a fine scan and
 golden-section search on the fine minima that can still reach the tolerance;
 a search gives up once the bound shows that it cannot.  When there is no
 zero, branch and bound over the candidate brackets locates the reported
-minimum.
+minimum: a cell that a bound on s''' certifies convex is closed by Newton
+steps on s' (the survival gives s' and s'' from the same product as s), and
+every other cell is bisected under Bernstein's bound.
 """
 
 from __future__ import annotations
@@ -185,8 +187,14 @@ class _SurvivalSignal:
     M_ab >= 0, s(t) = sum_ab M_ab cos((lam_a - lam_b) t), so |s''(t)| <= -s''(0)
     = sum_ab M_ab (lam_a - lam_b)**2, 2 S sum_a w_a (lam_a - mean)**2 with S =
     sum_a w_a for a pure state.  Each gap is divided by the bandwidth before it
-    is squared, so no spectrum overflows it; where the terms of unpopulated
-    levels do, it is infinite.
+    is squared, so no spectrum overflows it; a pair with no weight adds
+    nothing however wide its gap, and where the terms of other unpopulated
+    levels overflow, it is infinite.
+    ``third`` bounds |s'''(t)| in units of bandwidth**3:
+    |s'''| <= sum_ab |M_ab| |gap_ab|**3 <= span * (-s''(0)), with span the
+    range of the levels the signal sums, which terms under the support cut may
+    widen past the bandwidth; it is infinite where that overflows.
+    ``derivatives`` gives s, s' and a lower bound on s'' for the minimum search.
     ``populations`` are the state's eigenvector weights, ``energy_stats``' input.
     """
 
@@ -226,10 +234,13 @@ class _SurvivalSignal:
             # levels' M gives the same sum, as merged pairs share their gap
             with np.errstate(all="ignore"):
                 gaps /= self.bandwidth
+                # an empty pair adds nothing, however far apart its levels
+                gaps[coeffs == 0.0] = 0.0
                 curvature = np.vdot(coeffs, np.square(gaps, out=gaps))
             del gaps  # D x D, not to be held through the factor's eigh
             levels, factor = _mixed_factor(coeffs, levels, level)
         self.curvature = float(curvature) if math.isfinite(curvature) else math.inf
+        self._levels = levels
         # -i * levels as a row: each block's phases are one rank-1 product,
         # which (unlike a broadcast outer product) needs no buffer of its size
         self._phase_rates = -1j * levels[None, :]
@@ -239,6 +250,16 @@ class _SurvivalSignal:
         # stays within 8 * _EVAL_BUDGET bytes
         self._rows = max(1, _EVAL_BUDGET // (2 * sum(self._weights.shape)))
         self.initial = float(self.evaluate(np.zeros(1))[0])
+        # A mixed factor's F F^H differs from M, entry by entry, by at most the
+        # eigenvalues it drops plus eigh's backward error: each below
+        # levels * ulp(largest eigenvalue <= tr M <= s(0)), or _PAIR_CUT.
+        drift = 0.0 if isinstance(state, PureState) else 2.0 * max(
+            _PAIR_CUT, levels.size * math.ulp(self.initial))
+        with np.errstate(all="ignore"):  # overflow: no finite bound
+            span = (levels[-1] - levels[0]) / self.bandwidth
+            third = span * (curvature + levels.size ** 2 * drift * span * span)
+        self.third = float(third) if math.isfinite(third) else math.inf
+        self._jet = None  # the weights of ``derivatives``, made on its first call
 
     def evaluate(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
@@ -261,6 +282,59 @@ class _SurvivalSignal:
         # they slowed libm's complex exp in the next block ~17-fold on an
         # AVX-512 Xeon.
         np.matmul(squares, self._ones, out=out)
+
+    def derivatives(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """s, s' / bandwidth and a lower bound on s'' / bandwidth**2 at the times ``ts``.
+
+        With u = z^T F, one complex product of each block's phases with
+        [F, -i lam~ F, -lam~^2 F] gives u, u' and u'', where lam~ are the levels
+        centred on their range and divided by the bandwidth: centring multiplies
+        all three by one common phase, which cancels in s = |u|^2,
+        s' = 2 Re conj(u) u' and s'' = 2 |u'|^2 + 2 Re conj(u) u'', and the
+        units keep every weight finite wherever ``third`` is.  s'' is lowered by
+        a bound on its round-off: 8 eps (terms + |lam|_max |t|) times
+        sum_k 2 (n1_k^2 + n0_k n2_k), with n_p the column sums of |lam~^p F|
+        (the second term for the rounded phases lam t).  The weights are made
+        on the first call, so a search that finds its zero never pays for them.
+        """
+        if self._jet is None:
+            self._jet = self._jet_setup()
+        weights, sums, slack, slack_per_t, rows = self._jet
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+        out = np.empty((ts.size, 3))
+        for start in range(0, ts.size, rows):
+            stop = start + rows
+            self._jet_block(weights, sums, ts[start:stop], out[start:stop])
+        out[:, 2] -= slack + slack_per_t * np.abs(ts)
+        return out[:, 0], out[:, 1], out[:, 2]
+
+    def _jet_setup(self) -> tuple:
+        """The weights, row sums, round-off slack (constant and per unit |t|)
+        and block size of ``derivatives``."""
+        f, levels = self._weights, self._levels
+        lam = (levels - (0.5 * levels[0] + 0.5 * levels[-1])) / self.bandwidth
+        weights = np.hstack((f, -1j * lam[:, None] * f, -(lam * lam)[:, None] * f))
+        n0, n1, n2 = np.abs(weights).sum(axis=0).reshape(3, -1)
+        slack = 16.0 * np.finfo(float).eps * float(n1 @ n1 + n0 @ n2)
+        # sums the real products u u, u u', u u'' and u' u' of a row into s, s', s''
+        sums = np.zeros((4, 2 * f.shape[1], 3))
+        sums[0, :, 0], sums[1, :, 1], sums[2:, :, 2] = 1.0, 2.0, 2.0
+        # 16 bytes per phase and per amplitude and 8 per product
+        rows = max(1, _EVAL_BUDGET // (2 * f.shape[0] + 14 * f.shape[1]))
+        return (weights, sums.reshape(-1, 3), slack * sum(f.shape),
+                slack * max(abs(levels[0]), abs(levels[-1])), rows)
+
+    def _jet_block(self, weights: np.ndarray, sums: np.ndarray, block: np.ndarray,
+                   out: np.ndarray) -> None:
+        """Writes s, s' and s'' at the times ``block`` to the rows of ``out``."""
+        z = np.matmul(block[:, None], self._phase_rates)
+        np.exp(z, out=z)
+        jet = np.matmul(z, weights).view(float).reshape(block.size, 3, -1)
+        products = np.empty((block.size, 4, jet.shape[2]))
+        np.multiply(jet[:, :1], jet, out=products[:, :3])
+        np.square(jet[:, 1], out=products[:, 3])
+        # a real product, which clears the vector registers as in ``_block``
+        np.matmul(products.reshape(block.size, -1), sums, out=out)
 
 
 def survival(state: State, hamiltonian: Hamiltonian, t) -> float | np.ndarray:
@@ -353,32 +427,89 @@ def _refine_bracket(vec_fn: Callable[[np.ndarray], np.ndarray],
     return False, None, None
 
 
+def _convex_bound(lo: np.ndarray, hi: np.ndarray, x: np.ndarray, f: np.ndarray,
+                  g: np.ndarray, c: np.ndarray, bandwidth: float) -> np.ndarray:
+    """Lowest value on [lo, hi] of the parabola f + g d + c d**2 / 2, d = bandwidth * (t - x).
+
+    A signal with s(x) = f and s'(x) = g (per unit of bandwidth * t) whose
+    s'' is at least c > 0 on the cell lies above that parabola there, so this
+    bounds the cell: f - g**2 / (2 c) where the vertex lies in the cell, the
+    parabola's value at the nearer edge where not (f itself at an edge x whose
+    slope points out of the cell).
+    """
+    vertex = np.minimum(np.maximum(x - g / (c * bandwidth), lo), hi)
+    d = bandwidth * (vertex - x)
+    return f + d * (g + 0.5 * c * d)
+
+
+def _open_cells(lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarray,
+                rate: float) -> np.ndarray:
+    """Uncertified cells as the columns of a ``_lower_minimum`` table: no
+    midpoint value yet, curvature floor 0, the midpoint as their next point
+    and Bernstein's bound."""
+    cells = np.zeros((8, lo.size))
+    cells[0], cells[1], cells[2], cells[3] = lo, hi, f_lo, f_hi
+    cells[6] = 0.5 * (lo + hi)
+    cells[7] = np.minimum(f_lo, f_hi) - (rate * (hi - lo)) ** 2 / 8.0
+    return cells
+
+
 def _lower_minimum(vec_fn: Callable[[np.ndarray], np.ndarray],
                    lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarray,
                    rate: float, tol: float, xtol: float,
-                   best_t: float, best_val: float) -> tuple[float, float]:
+                   best_t: float, best_val: float,
+                   derivatives: Optional[Callable] = None, third: float = math.inf,
+                   bandwidth: float = 1.0) -> tuple[float, float]:
     """Lower (best_t, best_val) to within ``tol`` of the minimum over the cells.
 
-    Branch and bound (Piyavskii-Shubert with a curvature bound): on a cell
-    [lo, hi] with end values f_lo, f_hi a signal with |s''| <= rate**2 lies
-    at most (rate * (hi - lo))**2 / 8 below min(f_lo, f_hi), and a nonnegative
-    one never below 0.  Cells bounded at or above ``best_val - tol``, or at most
-    ``xtol`` wide, are dropped; the others are bisected, one call per level.
+    Branch and bound.  On a cell [lo, hi] with end values f_lo, f_hi a signal
+    with |s''| <= rate**2 lies at most (rate * (hi - lo))**2 / 8 below
+    min(f_lo, f_hi) (Piyavskii-Shubert with a curvature bound), and a
+    nonnegative one never below 0.  With ``derivatives`` (s, s' and a lower
+    bound on s'' at given times, in units of ``bandwidth``, as
+    ``_SurvivalSignal.derivatives``) and ``third`` >= |s'''| / bandwidth**3, a
+    cell whose midpoint m has c = s''(m) - third * bandwidth * (hi - lo) / 2 > 0
+    is certified convex (Breiman & Cutler, Math. Program. 58, 179 (1993)),
+    and ``_convex_bound`` bounds it from any point of it.  A certified cell
+    takes Newton steps x - s'(x) / s''(x), kept in the cell, for as long as
+    each raises its bound; a cell that its certificate or its step does not
+    raise is bisected.  Cells bounded at or above ``best_val - tol``, or at
+    most ``xtol`` wide, are dropped.  Each level evaluates every live cell in
+    one call; without derivatives no cell is certified, and this is bisection.
     """
-    while best_val > tol:  # else no cell, bounded at or above 0, is below best_val - tol
-        width = hi - lo
-        live = ((np.minimum(f_lo, f_hi) - (rate * width) ** 2 / 8.0 < best_val - tol)
-                & (width > xtol))
-        if not live.any():
-            break
-        lo, hi, f_lo, f_hi = lo[live], hi[live], f_lo[live], f_hi[live]
-        mid = 0.5 * (lo + hi)
-        f_mid = vec_fn(mid)
-        k = int(np.argmin(f_mid))
-        if f_mid[k] < best_val:
-            best_t, best_val = float(mid[k]), float(f_mid[k])
-        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
-        f_lo, f_hi = np.concatenate((f_lo, f_mid)), np.concatenate((f_mid, f_hi))
+    # one column per cell: edges, end values, midpoint value, curvature floor
+    # c (0: not certified), the next point to evaluate, the bound
+    cells = _open_cells(lo, hi, f_lo, f_hi, rate)
+    with np.errstate(all="ignore"):  # a vertex past the float range is past the cell
+        while best_val > tol:  # else no cell, bounded at or above 0, is below best_val - tol
+            cells = cells[:, (cells[7] < best_val - tol) & (cells[1] - cells[0] > xtol)]
+            if not cells.size:
+                break
+            lo, hi, f_lo, f_hi, f_mid, c, ts, bound = cells
+            if derivatives is None:
+                values = vec_fn(ts)
+            else:
+                values, slope, second = derivatives(ts)
+            k = int(np.argmin(values))
+            if values[k] < best_val:
+                best_t, best_val = float(ts[k]), float(values[k])
+            certified = c > 0.0
+            cells[4] = np.where(certified, f_mid, values)  # the others were at their midpoints
+            split = np.ones(ts.size, dtype=bool)
+            if derivatives is not None:
+                c = np.where(certified, c, second - third * (bandwidth * (hi - lo)) / 2.0)
+                raised = _convex_bound(lo, hi, ts, values, slope, c, bandwidth)
+                split = ~((c > 0.0) & (raised > bound))
+                cells[5], cells[7] = c, raised
+                cells[6] = np.minimum(np.maximum(ts - slope / (second * bandwidth), lo), hi)
+                if not split.any():
+                    continue
+            lo, hi, f_lo, f_hi, f_mid = cells[:5, split]
+            mid = 0.5 * (lo + hi)
+            halves = _open_cells(np.concatenate((lo, mid)), np.concatenate((mid, hi)),
+                                 np.concatenate((f_lo, f_mid)), np.concatenate((f_mid, f_hi)),
+                                 rate)
+            cells = np.concatenate((cells[:, ~split], halves), axis=1)
     return best_t, best_val
 
 
@@ -387,7 +518,9 @@ def scan_first_zero(vec_fn: Callable[[np.ndarray], np.ndarray],
                     bandwidth: float,
                     accept_tol: float,
                     scale: float,
-                    curvature: float = math.inf) -> OrthogonalityResult:
+                    curvature: float = math.inf,
+                    derivatives: Optional[Callable] = None,
+                    third: float = math.inf) -> OrthogonalityResult:
     """First t in (0, horizon] where a nonnegative oscillatory signal <= tol.
 
     ``vec_fn`` maps an array of times to signal values; ``bandwidth`` is the
@@ -413,9 +546,16 @@ def scan_first_zero(vec_fn: Callable[[np.ndarray], np.ndarray],
     minima that can still reach ``accept_tol``, and the first refined value
     at or below it is returned.
     When no zero is found, branch and bound over the cells of all candidate
-    brackets lowers the reported minimum to within ``_MINIMUM_RTOL * scale``
-    of the signal's minimum on them, under Bernstein's bound alone (with the
-    tighter one it stops sooner, on other near-tied minima).
+    brackets (``_lower_minimum``) lowers the reported minimum to within
+    ``_MINIMUM_RTOL * scale`` of the signal's minimum on them.  Cells are
+    bisected under Bernstein's bound (the tighter one would stop it sooner,
+    on other near-tied minima).  Given ``derivatives`` (s, s' and a lower
+    bound on s'' in units of the bandwidth, as ``_SurvivalSignal.derivatives``)
+    and a finite ``third`` >= |s'''| / bandwidth**3, a cell that s'' at its
+    midpoint certifies convex is closed by Newton steps on s' instead, which
+    also fixes a flat minimum's ``t_at_min`` far more finely than its value
+    alone does.  ``derivatives`` is first called there, after every bracket
+    has failed, so no found zero depends on it.
     """
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise InvariantViolation(f"horizon must be positive and finite, got {horizon}")
@@ -472,6 +612,7 @@ def scan_first_zero(vec_fn: Callable[[np.ndarray], np.ndarray],
     best_t, best_val = _lower_minimum(
         vec_fn, ts[cells], ts[cells + 1], vals[cells], vals[cells + 1],
         rate, _MINIMUM_RTOL * scale, xtol, float(ts[interior]), float(vals[interior]),
+        derivatives if third < math.inf else None, third, bandwidth,
     )
     return OrthogonalityResult(False, None, max(best_val, 0.0), best_t, horizon)
 
@@ -502,4 +643,5 @@ def first_orthogonal_time(state: State, hamiltonian: Hamiltonian,
     if signal.bandwidth == 0.0 or horizon == math.inf:  # stationary, or no finite bound
         return OrthogonalityResult(False, None, signal.initial, 0.0, 0.0)
     return scan_first_zero(signal.evaluate, horizon, signal.bandwidth, opts.ortho_tol,
-                           scale=signal.initial, curvature=signal.curvature)
+                           scale=signal.initial, curvature=signal.curvature,
+                           derivatives=signal.derivatives, third=signal.third)

@@ -101,33 +101,42 @@ def rng() -> np.random.Generator:
 @dataclass
 class ScanWork:
     """Signal calls made by the scans of a test: all of them, those at a single
-    time (golden-section steps) and the times sampled."""
+    time (golden-section and Newton steps), the times sampled, and the calls
+    among them that also take derivatives."""
 
     calls: int = 0
     scalar_calls: int = 0
     points: int = 0
+    derivative_calls: int = 0
 
 
 @pytest.fixture
 def scan_work(monkeypatch) -> ScanWork:
     """Counts the work of every ``scan_first_zero`` run in the test.
 
-    Each scan's signal function is wrapped where the scan receives it, in every
-    module that calls the scan, so that a change that refines more fails by
-    count rather than by time.
+    Each scan's signal function, and its derivatives where it is given them,
+    is wrapped where the scan receives it, in every module that calls the
+    scan, so that a change that refines more fails by count rather than by
+    time, and no work routed around the signal function goes uncounted.
     """
     from qslsim import cli, constructions, dynamics
 
     work, scan = ScanWork(), dynamics.scan_first_zero
 
-    def counted_scan(vec_fn, *args, **kwargs):
+    def count(fn, derivative):
         def counted(ts):
             size = int(np.size(ts))
             work.calls += 1
             work.scalar_calls += size == 1
             work.points += size
-            return vec_fn(ts)
-        return scan(counted, *args, **kwargs)
+            work.derivative_calls += derivative
+            return fn(ts)
+        return counted
+
+    def counted_scan(vec_fn, *args, derivatives=None, **kwargs):
+        if derivatives is not None:
+            kwargs["derivatives"] = count(derivatives, True)
+        return scan(count(vec_fn, False), *args, **kwargs)
 
     for module in (dynamics, constructions, cli):
         monkeypatch.setattr(module, "scan_first_zero", counted_scan)

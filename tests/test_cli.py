@@ -1,15 +1,19 @@
 """Tests for the command-line runner: formats, exit codes, determinism."""
 
 import hashlib
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from qslsim import Hamiltonian, PureState, SubsystemLayout, dump_system, make_psi_ent
+from qslsim import (Hamiltonian, PureState, SubsystemLayout, dump_system, ground_shift,
+                    load_system, make_psi_ent)
 from qslsim import EntangledChainSpec, OrthogonalityResult
 from qslsim.cli import main
 from qslsim.dynamics import TIME_RESOLUTION
@@ -924,6 +928,60 @@ def test_tperp_at_extreme_bandwidth_reports_its_minimum(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["status"] == "NotFound"
     assert payload["min_overlap"] == pytest.approx(0.5, abs=1e-15)
+
+
+@pytest.fixture(scope="module")
+def cli_mixed_file(tmp_path_factory):
+    """The ``cli`` benchmark workload's D = 64 full-rank mixed system, seed 1."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look the module up
+    try:
+        spec.loader.exec_module(module)
+        return module.Cli(1, tmp_path_factory.mktemp("cli")).mixed_file
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_tperp_reports_the_cli_workload_minimum(capsys, cli_mixed_file):
+    code, out, err = run(capsys, "tperp", str(cli_mixed_file))
+    assert (code, err) == (0, "")
+    assert out == ("ground_shift=14.6524630363 applied\n"
+                   "NotFound min_overlap=0.0153083430888 t_at_min=3.1765283647 "
+                   "horizon=3.89527672722\n")
+    code, out, _ = run(capsys, "tperp", str(cli_mixed_file), "--json")
+    assert json.loads(out)["t_at_min"] == pytest.approx(3.176528364699269, abs=1e-13)
+
+
+def test_tperp_flat_minimum_holds_under_ulp_horizon_changes(capsys, cli_mixed_file):
+    # Located by its value alone, this flat minimum (s'' ~ 0.04) was fixed only
+    # to ~1e-8, and its printed t_at_min flipped between 3.17652835379 and
+    # 3.17652837839 as the horizon moved by ulps.  Newton steps on s' land
+    # within 1e-9 of the 40-digit root of s', on every horizon alike (the
+    # 1e-13 * s(0) value contract alone allows ~4e-7).
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    state, h = load_system(str(cli_mixed_file))[:2]
+    evals, evecs = ground_shift(h).eigensystem()
+    coeffs = np.abs(evecs.conj().T @ state.matrix @ evecs) ** 2
+    upper = np.triu_indices(evals.size, 1)
+    terms = [(mpmath.mpf(float(2.0 * m)), mpmath.mpf(float(g)))
+             for m, g in zip(coeffs[upper], np.subtract.outer(evals, evals)[upper])]
+    slope = lambda t: -mpmath.fsum(m * g * mpmath.sin(g * t) for m, g in terms)
+    root = float(mpmath.findroot(slope, mpmath.mpf("3.17652836")))
+    horizons = [3.8952767272236937]  # the default, 20 speed-limit times
+    for direction in (-math.inf, math.inf):
+        horizon = horizons[0]
+        for _ in range(4):
+            horizon = math.nextafter(horizon, direction)
+            horizons.append(horizon)
+    for horizon in horizons:
+        code, out, _ = run(capsys, "tperp", str(cli_mixed_file), "--horizon", repr(horizon),
+                           "--json")
+        t_at_min = json.loads(out)["t_at_min"]
+        assert code == 0 and f"{t_at_min:.12g}" == "3.1765283647"
+        assert abs(t_at_min - root) <= 1e-9
 
 
 #: Flag values from zero and one to the edges of the float range.

@@ -213,6 +213,104 @@ class TestCosineSumSignal:
         assert signal.bandwidth == pytest.approx(1.0) and signal.curvature == math.inf
         assert not first_orthogonal_time(state, h).found
 
+    def test_mixed_curvature_skips_empty_far_levels(self):
+        # populations diag(1/2, 1/2, 0) under diag(0, 1, 1e200), as a pure state
+        # and as its density matrix (a diagonal one would be stationary): the
+        # empty level's squared gap overflows, but it multiplies an exact zero,
+        # as the pure state's clipped empty level does; both get
+        # 2 * (1/2)(1/2) * 1^2 = 1/2
+        lay = SubsystemLayout((3,))
+        h = Hamiltonian(lay, np.diag([0.0, 1.0, 1e200]).astype(complex))
+        pure = PureState(lay, np.array([INV_SQRT2, INV_SQRT2, 0.0]))
+        rho = DensityMatrix(lay, np.outer(pure.amplitudes, pure.amplitudes.conj()))
+        mixed, pure = _SurvivalSignal(rho, h), _SurvivalSignal(pure, h)
+        assert mixed.curvature == pytest.approx(0.5, rel=1e-15)
+        assert mixed.curvature == pytest.approx(pure.curvature, rel=1e-15)
+        assert mixed.third == pytest.approx(pure.third, rel=1e-15)
+
+    @staticmethod
+    def eigenbasis_terms(state, h):
+        # M_ab = |rho_ab|^2 and gaps lam_a - lam_b over all D^2 pairs, in mpmath
+        evals, evecs = h.eigensystem()
+        pure = isinstance(state, PureState)
+        matrix = np.outer(state.amplitudes, state.amplitudes.conj()) if pure else state.matrix
+        coeffs = np.abs(evecs.conj().T @ matrix @ evecs) ** 2
+        gaps = np.subtract.outer(evals, evals)
+        return coeffs.ravel(), gaps.ravel()
+
+    @pytest.mark.parametrize("scale", [1.0, 1e300])
+    def test_derivatives_match_mpmath(self, rng, scale):
+        # s, s' and s'' of sum_ab M_ab cos(gap_ab t) at 40 digits, in units of the
+        # bandwidth; the returned s'' is a lower bound, below by its round-off slack
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        levels = np.array([0.0, 0.4, 0.4, 1.1, 1.7, 2.6])  # one degenerate pair
+        lay = SubsystemLayout((6,))
+        h = Hamiltonian(lay, np.diag(scale * levels).astype(complex))
+        states = [random_pure(rng, 6), random_density(rng, 6), random_density(rng, 6, rank=2)]
+        for state in states:
+            signal = _SurvivalSignal(state, h)
+            width = signal.bandwidth
+            ts = np.linspace(0.0, 30.0, 61) / width
+            values, slopes, seconds = signal.derivatives(ts)
+            coeffs, gaps = self.eigenbasis_terms(state, h)
+            terms = [(mpmath.mpf(float(m)), mpmath.mpf(float(g)) / mpmath.mpf(width))
+                     for m, g in zip(coeffs, gaps) if m > 0.0]
+            for t, value, slope, second in zip(ts, values, slopes, seconds):
+                tau = mpmath.mpf(float(t)) * mpmath.mpf(width)
+                s = mpmath.fsum(m * mpmath.cos(g * tau) for m, g in terms)
+                ds = -mpmath.fsum(m * g * mpmath.sin(g * tau) for m, g in terms)
+                d2s = -mpmath.fsum(m * g * g * mpmath.cos(g * tau) for m, g in terms)
+                assert abs(value - float(s)) <= 1e-14 * signal.initial
+                assert abs(slope - float(ds)) <= 1e-14 * signal.initial
+                assert float(d2s) - 1e-12 * signal.initial <= second <= float(d2s)
+
+    def test_third_bounds_the_third_derivative(self, rng):
+        # |s'''(t)| <= third * bandwidth^3 on a dense grid.  The last system puts
+        # a weight of 1e-13 (under the support cut) at level 1e4: the bandwidth
+        # stays 1, and only the span of the levels the signal sums bounds its
+        # 0.1 sin(1e4 t) term
+        lay = SubsystemLayout((3,))
+        far = (PureState(lay, np.array([math.sqrt((1 - 1e-13) / 2)] * 2 + [math.sqrt(1e-13)])),
+               Hamiltonian(lay, np.diag([0.0, 1.0, 1e4]).astype(complex)))
+        systems = [(random_pure(rng, 6), random_shifted_hamiltonian(rng, 6)),
+                   (random_density(rng, 6), random_shifted_hamiltonian(rng, 6)),
+                   (random_density(rng, 8, rank=2), random_shifted_hamiltonian(rng, 8)),
+                   self.degenerate_system(rng, 9), far]
+        for state, h in systems:
+            signal = _SurvivalSignal(state, h)
+            coeffs, gaps = self.eigenbasis_terms(state, h)
+            ratios = gaps / signal.bandwidth
+            for ts in (np.linspace(0.0, 40.0, 4001), np.linspace(1.5, 1.6, 20001)):
+                third = np.sin(np.outer(ts, gaps)) @ (coeffs * ratios ** 3)
+                assert np.abs(third).max() <= signal.third * (1.0 + 1e-12)
+        assert np.abs(third).max() > 0.55 > signal.curvature  # bandwidth in place of the span
+
+    def test_convex_bound_lies_below_certified_cells(self, rng):
+        # Cells of 0.05 to 0.8 inverse bandwidths anywhere in [0, 40 / bandwidth]:
+        # where the midpoint certifies a cell convex, the parabola bound from any
+        # of its points lies below the cell's densely sampled minimum
+        certified = uncertified = 0
+        for state in (random_pure(rng, 5), random_density(rng, 6), random_density(rng, 7, rank=2)):
+            h = random_shifted_hamiltonian(rng, state.layout.total_dim)
+            signal = _SurvivalSignal(state, h)
+            width = signal.bandwidth
+            for lo, w in zip(rng.uniform(0.0, 40.0, 60), np.resize([0.05, 0.2, 0.5, 0.8], 60)):
+                lo, hi = lo / width, (lo + w) / width
+                _, _, second = signal.derivatives(np.array([0.5 * (lo + hi)]))
+                floor = second - signal.third * w / 2.0
+                if not floor[0] > 0.0:
+                    uncertified += 1
+                    continue
+                certified += 1
+                lowest = signal.evaluate(np.linspace(lo, hi, 2001)).min()
+                xs = np.array([lo, 0.5 * (lo + hi), hi, rng.uniform(lo, hi)])
+                values, slopes, _ = signal.derivatives(xs)
+                bounds = dynamics._convex_bound(np.full(4, lo), np.full(4, hi), xs, values,
+                                                slopes, np.repeat(floor, 4), width)
+                assert np.all(bounds <= lowest + 1e-15 * signal.initial)
+        assert certified > 20 and uncertified > 10
+
     @staticmethod
     def degenerate_system(rng, dim):
         # exactly repeated integer levels (a diagonal H keeps them exact):
