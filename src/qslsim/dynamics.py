@@ -4,7 +4,7 @@ Evolution uses the Hamiltonian's cached eigendecomposition, so repeated
 evolutions and survival evaluations cost one matrix-vector (or matrix-matrix)
 transform each.  The survival Tr[rho(t) rho] of a pure or a mixed state is a
 sum of squares, ||z(t)^T F||^2 with z_a(t) = exp(-i lam_a t) over the distinct
-levels and F a factor of |rho_ab|^2 in the eigenbasis, evaluated with one
+levels and F a factor of |rho_ab|^2 merged over the levels, evaluated with one
 matrix product per block of times of bounded size.  The solver locates the smallest
 positive time at which it drops to (numerical) zero by scanning at a step set
 by the spectral bandwidth of the signal.  The survival's own curvature at
@@ -59,11 +59,11 @@ SCAN_FRACTION = 0.25
 #: Default search horizon, as a multiple of the speed limit time.
 HORIZON_MULTIPLIER = 20.0
 
-_SUPPORT_CUT = 1e-12  # weights below this do not define the scan bandwidth
+_SUPPORT_CUT = 1e-12  # level weights and entries of M below this do not define the bandwidth
 _PAIR_CUT = 1e-18  # levels and factor columns whose terms stay below this are dropped
-#: Sets the block size of ``_SurvivalSignal.evaluate``: the complex phases
-#: (times x levels) and amplitudes (times x factor columns) of one block
-#: together take at most 8 * _EVAL_BUDGET bytes (512 KiB).
+#: Sets the block size of ``_SurvivalSignal``'s kernels, s and its derivatives
+#: alike: the work arrays of one block of times (phases, amplitudes and their
+#: products) together take at most 8 * _EVAL_BUDGET bytes (512 KiB).
 _EVAL_BUDGET = 1 << 16
 _REFINE_SUBDIVISIONS = 64
 _GOLDEN_MAX_ITER = 200
@@ -145,19 +145,17 @@ def evolve(state: State, hamiltonian: Hamiltonian, t: float) -> State:
     return DensityMatrix(state.layout, mat)
 
 
-def _mixed_factor(coeffs: np.ndarray, levels: np.ndarray,
-                  level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Populated levels and a factor F, M = F F^H, of M_AB = sum |rho_ab|^2.
+def _mixed_factor(merged: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Populated levels and a factor F, M = F F^H, of the level matrix M = ``merged``.
 
-    The sum runs over the members a of level A and b of level B.  Levels
-    without a term above ``_PAIR_CUT`` are dropped, and so are the
+    M_AB sums |rho_ab|^2 over the members a of level A and b of level B, and
+    ``_SurvivalSignal`` reads the bandwidth and the curvature from it too.
+    Levels without a term above ``_PAIR_CUT`` are dropped, and so are the
     eigenvalues of M below eigh's backward error, which carry no information.
     M is real, but it goes through the complex Hermitian eigensolver, which
     every Hamiltonian already loads: the real one would map another ~0.7 MB
     of LAPACK code into the process to save at most ~2 ms at D = 128.
     """
-    merged = np.bincount((level[:, None] * levels.size + level).ravel(), weights=coeffs.ravel(),
-                         minlength=levels.size ** 2).reshape(levels.size, -1)
     kept = (merged > _PAIR_CUT).any(axis=1)
     merged = merged[kept][:, kept]
     strength, vecs = np.linalg.eigh((0.5 * (merged + merged.T)).astype(complex))
@@ -169,29 +167,32 @@ class _SurvivalSignal:
     """Survival Tr[rho(t) rho] as a sum of squares, ||z(t)^T F||^2.
 
     In the Hamiltonian eigenbasis Tr[rho(t) rho] = z(t)^T M conj(z(t)) with
-    z_a = exp(-i lam_a t) and M_ab = |rho_ab|^2, summed over the distinct
-    eigenvalues lam_a (exactly equal eigenvalues share one level, so a
-    degenerate spectrum costs its distinct levels rather than its dimension).
-    M is the Schur product of rho and its conjugate, so it is positive
-    semidefinite, and a factor M = F F^H turns the survival into a sum
-    of squares that is never negative and that vanishes to round-off squared
-    at a zero.
-    Pure state: M = w w^T with w the level populations |c_a|^2, and F = w.
+    z_A = exp(-i lam_A t) over the distinct eigenvalues lam_A (exactly equal
+    eigenvalues share one level, so a degenerate spectrum costs its distinct
+    levels rather than its dimension) and the level matrix M (see
+    ``_mixed_factor``), which sums blocks of the Schur product of rho and its
+    conjugate.  So M is positive semidefinite, and a factor M = F F^H turns the
+    survival into a sum of squares that is never negative and that vanishes to
+    round-off squared at a zero.
+    Pure state: M = w w^T with w the level populations, and F = w.
     Mixed state: F from ``_mixed_factor``, with at most min(levels, rank^2)
-    columns.  ``evaluate`` works through the times in blocks of bounded
-    memory (``_EVAL_BUDGET``), so its memory does not grow with the scan.
+    columns.  ``evaluate`` and ``derivatives`` pass their kernels to one loop
+    over blocks of times of bounded memory (``_EVAL_BUDGET``), so neither's
+    memory grows with the scan.
 
     ``bandwidth`` is the spectral range actually populated by the state: the
-    highest angular frequency in s(t), which sets the scan step.
+    highest angular frequency in s(t), which sets the scan step.  It is the
+    widest gap between two levels whose weights w_A, w_B (pure) or whose
+    entry M_AB or M_BA (mixed) lie above ``_SUPPORT_CUT``.
     ``curvature`` bounds |s''(t)| at every t in units of bandwidth**2: with
-    M_ab >= 0, s(t) = sum_ab M_ab cos((lam_a - lam_b) t), so |s''(t)| <= -s''(0)
-    = sum_ab M_ab (lam_a - lam_b)**2, 2 S sum_a w_a (lam_a - mean)**2 with S =
-    sum_a w_a for a pure state.  Each gap is divided by the bandwidth before it
+    M_AB >= 0, s(t) = sum_AB M_AB cos((lam_A - lam_B) t), so |s''(t)| <= -s''(0)
+    = sum_AB M_AB (lam_A - lam_B)**2, 2 S sum_A w_A (lam_A - mean)**2 with S =
+    sum_A w_A for a pure state.  Each gap is divided by the bandwidth before it
     is squared, so no spectrum overflows it; a pair with no weight adds
     nothing however wide its gap, and where the terms of other unpopulated
     levels overflow, it is infinite.
     ``third`` bounds |s'''(t)| in units of bandwidth**3:
-    |s'''| <= sum_ab |M_ab| |gap_ab|**3 <= span * (-s''(0)), with span the
+    |s'''| <= sum_AB M_AB |gap_AB|**3 <= span * (-s''(0)), with span the
     range of the levels the signal sums, which terms under the support cut may
     widen past the bandwidth; it is infinite where that overflows.
     ``derivatives`` gives s, s' and a lower bound on s'' for the minimum search.
@@ -222,33 +223,33 @@ class _SurvivalSignal:
                 spread = (levels - np.dot(w, levels) / w.sum()) / self.bandwidth
                 curvature = 2.0 * w.sum() * np.dot(w, spread * spread)
         else:
-            # The widest gap between two levels that share a populated
-            # coherence: populated is symmetric, so it is the largest signed
-            # difference lam_a - lam_b over the populated pairs.
-            coeffs = np.abs(rotated) ** 2
-            populated = coeffs > _SUPPORT_CUT
-            populated = populated | populated.T
-            gaps = np.subtract.outer(evals, evals)
-            self.bandwidth = float(gaps[populated].max(initial=0.0))
-            # sum_ab |rho_ab|^2 (gap_ab / bandwidth)^2, in place: the merged
-            # levels' M gives the same sum, as merged pairs share their gap
+            merged = np.bincount((level[:, None] * levels.size + level).ravel(),
+                                 weights=(np.abs(rotated) ** 2).ravel(),
+                                 minlength=levels.size ** 2).reshape(levels.size, -1)
+            # The widest gap between two levels with a populated entry of M:
+            # the support is symmetric, so it is the largest signed difference
+            # lam_A - lam_B on it.
+            gaps = np.subtract.outer(levels, levels)
+            support = np.maximum(merged, merged.T) > _SUPPORT_CUT
+            self.bandwidth = float(gaps[support].max(initial=0.0))
+            # sum_AB M_AB (gap_AB / bandwidth)^2, in place
             with np.errstate(all="ignore"):
                 gaps /= self.bandwidth
                 # an empty pair adds nothing, however far apart its levels
-                gaps[coeffs == 0.0] = 0.0
-                curvature = np.vdot(coeffs, np.square(gaps, out=gaps))
-            del gaps  # D x D, not to be held through the factor's eigh
-            levels, factor = _mixed_factor(coeffs, levels, level)
+                gaps[merged == 0.0] = 0.0
+                curvature = np.vdot(merged, np.square(gaps, out=gaps))
+            del gaps, support  # not to be held through the factor's eigh
+            levels, factor = _mixed_factor(merged, levels)
         self.curvature = float(curvature) if math.isfinite(curvature) else math.inf
         self._levels = levels
         # -i * levels as a row: each block's phases are one rank-1 product,
         # which (unlike a broadcast outer product) needs no buffer of its size
         self._phase_rates = -1j * levels[None, :]
         self._weights = np.ascontiguousarray(factor, dtype=complex)
-        self._ones = np.ones(2 * factor.shape[1])  # sums a row of squares as one product
-        # 16 bytes per phase and per amplitude: a block of this many times
-        # stays within 8 * _EVAL_BUDGET bytes
-        self._rows = max(1, _EVAL_BUDGET // (2 * sum(self._weights.shape)))
+        # s's kernel: ones sum a row of squares as one product, and at 16 bytes per
+        # phase and per amplitude a block of that many times takes 8 * _EVAL_BUDGET
+        self._kernel = (self._weights, np.ones(2 * factor.shape[1]),
+                        max(1, _EVAL_BUDGET // (2 * sum(self._weights.shape))))
         self.initial = float(self.evaluate(np.zeros(1))[0])
         # A mixed factor's F F^H differs from M, entry by entry, by at most the
         # eigenvalues it drops plus eigh's backward error: each below
@@ -259,29 +260,11 @@ class _SurvivalSignal:
             span = (levels[-1] - levels[0]) / self.bandwidth
             third = span * (curvature + levels.size ** 2 * drift * span * span)
         self.third = float(third) if math.isfinite(third) else math.inf
-        self._jet = None  # the weights of ``derivatives``, made on its first call
+        self._jet = None  # the kernel and slack of ``derivatives``, made on its first call
 
     def evaluate(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        flat = ts.reshape(-1)
-        out = np.empty(flat.shape, dtype=float)
-        for start in range(0, flat.size, self._rows):
-            stop = start + self._rows
-            self._block(flat[start:stop], out[start:stop])
-        return out.reshape(ts.shape)
-
-    def _block(self, block: np.ndarray, out: np.ndarray) -> None:
-        """Writes s at the times ``block`` to ``out``; the block's work arrays
-        are freed on return, before the next block's are made."""
-        z = np.matmul(block[:, None], self._phase_rates)
-        np.exp(z, out=z)
-        squares = np.matmul(z, self._weights).view(float)
-        np.square(squares, out=squares)
-        # The row sums as a real BLAS product also clear the upper vector
-        # registers that OpenBLAS's complex gemm leaves dirty; left dirty,
-        # they slowed libm's complex exp in the next block ~17-fold on an
-        # AVX-512 Xeon.
-        np.matmul(squares, self._ones, out=out)
+        return self._sums(self._kernel, ts.reshape(-1)).reshape(ts.shape)
 
     def derivatives(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """s, s' / bandwidth and a lower bound on s'' / bandwidth**2 at the times ``ts``.
@@ -294,46 +277,55 @@ class _SurvivalSignal:
         units keep every weight finite wherever ``third`` is.  s'' is lowered by
         a bound on its round-off: 8 eps (terms + |lam|_max |t|) times
         sum_k 2 (n1_k^2 + n0_k n2_k), with n_p the column sums of |lam~^p F|
-        (the second term for the rounded phases lam t).  The weights are made
-        on the first call, so a search that finds its zero never pays for them.
+        (the second term for the rounded phases lam t).  The kernel is made
+        on the first call, so a search that finds its zero never pays for it.
         """
         if self._jet is None:
-            self._jet = self._jet_setup()
-        weights, sums, slack, slack_per_t, rows = self._jet
+            f, levels = self._weights, self._levels
+            lam = (levels - (0.5 * levels[0] + 0.5 * levels[-1])) / self.bandwidth
+            weights = np.hstack((f, -1j * lam[:, None] * f, -(lam * lam)[:, None] * f))
+            n0, n1, n2 = np.abs(weights).sum(axis=0).reshape(3, -1)
+            slack = 16.0 * np.finfo(float).eps * float(n1 @ n1 + n0 @ n2)
+            # sums the real products u u, u u', u u'' and u' u' of a row into s, s', s''
+            sums = np.zeros((4, 2 * f.shape[1], 3))
+            sums[0, :, 0], sums[1, :, 1], sums[2:, :, 2] = 1.0, 2.0, 2.0
+            # 16 bytes per phase and per amplitude and 8 per product
+            rows = max(1, _EVAL_BUDGET // (2 * f.shape[0] + 14 * f.shape[1]))
+            self._jet = ((weights, sums.reshape(-1, 3), rows), slack * sum(f.shape),
+                         slack * max(abs(levels[0]), abs(levels[-1])))
+        kernel, slack, slack_per_t = self._jet
         ts = np.asarray(ts, dtype=float).reshape(-1)
-        out = np.empty((ts.size, 3))
-        for start in range(0, ts.size, rows):
-            stop = start + rows
-            self._jet_block(weights, sums, ts[start:stop], out[start:stop])
+        out = self._sums(kernel, ts)
         out[:, 2] -= slack + slack_per_t * np.abs(ts)
         return out[:, 0], out[:, 1], out[:, 2]
 
-    def _jet_setup(self) -> tuple:
-        """The weights, row sums, round-off slack (constant and per unit |t|)
-        and block size of ``derivatives``."""
-        f, levels = self._weights, self._levels
-        lam = (levels - (0.5 * levels[0] + 0.5 * levels[-1])) / self.bandwidth
-        weights = np.hstack((f, -1j * lam[:, None] * f, -(lam * lam)[:, None] * f))
-        n0, n1, n2 = np.abs(weights).sum(axis=0).reshape(3, -1)
-        slack = 16.0 * np.finfo(float).eps * float(n1 @ n1 + n0 @ n2)
-        # sums the real products u u, u u', u u'' and u' u' of a row into s, s', s''
-        sums = np.zeros((4, 2 * f.shape[1], 3))
-        sums[0, :, 0], sums[1, :, 1], sums[2:, :, 2] = 1.0, 2.0, 2.0
-        # 16 bytes per phase and per amplitude and 8 per product
-        rows = max(1, _EVAL_BUDGET // (2 * f.shape[0] + 14 * f.shape[1]))
-        return (weights, sums.reshape(-1, 3), slack * sum(f.shape),
-                slack * max(abs(levels[0]), abs(levels[-1])), rows)
+    def _sums(self, kernel: tuple, ts: np.ndarray) -> np.ndarray:
+        """Row sums of the kernel (weights, sums, rows) at the 1-D times ``ts``."""
+        weights, sums, rows = kernel
+        out = np.empty(ts.shape + sums.shape[1:])
+        for start in range(0, ts.size, rows):
+            self._block(weights, sums, ts[start:start + rows], out[start:start + rows])
+        return out
 
-    def _jet_block(self, weights: np.ndarray, sums: np.ndarray, block: np.ndarray,
-                   out: np.ndarray) -> None:
-        """Writes s, s' and s'' at the times ``block`` to the rows of ``out``."""
+    def _block(self, weights: np.ndarray, sums: np.ndarray, block: np.ndarray,
+               out: np.ndarray) -> None:
+        """Writes ``sums`` of the products of u = z^T ``weights`` at the times ``block``
+        to ``out``: u's squares for s (1-D sums), else u u, u u', u u'' and u' u'.
+        The block's work arrays are freed on return, before the next block's are made."""
         z = np.matmul(block[:, None], self._phase_rates)
         np.exp(z, out=z)
-        jet = np.matmul(z, weights).view(float).reshape(block.size, 3, -1)
-        products = np.empty((block.size, 4, jet.shape[2]))
-        np.multiply(jet[:, :1], jet, out=products[:, :3])
-        np.square(jet[:, 1], out=products[:, 3])
-        # a real product, which clears the vector registers as in ``_block``
+        u = np.matmul(z, weights).view(float)
+        if sums.ndim == 1:
+            products = np.square(u, out=u)
+        else:
+            jet = u.reshape(block.size, 3, -1)
+            products = np.empty((block.size, 4, jet.shape[2]))
+            np.multiply(jet[:, :1], jet, out=products[:, :3])
+            np.square(jet[:, 1], out=products[:, 3])
+        # The row sums as a real BLAS product also clear the upper vector
+        # registers that OpenBLAS's complex gemm leaves dirty; left dirty,
+        # they slowed libm's complex exp in the next block ~17-fold on an
+        # AVX-512 Xeon.
         np.matmul(products.reshape(block.size, -1), sums, out=out)
 
 

@@ -228,6 +228,22 @@ class TestCosineSumSignal:
         assert mixed.curvature == pytest.approx(pure.curvature, rel=1e-15)
         assert mixed.third == pytest.approx(pure.third, rel=1e-15)
 
+    def test_bandwidth_cut_applies_to_level_sums(self):
+        # I/5 under diag(0, 0, 0, 0, 1) with |rho_a4|^2 = 0.4e-12 for a < 4:
+        # each coherence is below the support cut, but level 0's sum of them,
+        # M_01 = 1.6e-12, is above it, so s(t) = 0.2 + 3.2e-12 cos t is not
+        # stationary and dips to 0.2 - 3.2e-12 at t = pi
+        lay = SubsystemLayout((5,))
+        h = Hamiltonian(lay, np.diag([0.0, 0.0, 0.0, 0.0, 1.0]).astype(complex))
+        mat = np.eye(5, dtype=complex) / 5.0
+        mat[:4, 4] = mat[4, :4] = math.sqrt(0.4e-12)
+        rho = DensityMatrix(lay, mat)
+        assert _SurvivalSignal(rho, h).bandwidth == 1.0
+        res = first_orthogonal_time(rho, h)
+        assert not res.found
+        assert res.min_overlap == pytest.approx(0.2 - 3.2e-12, abs=1e-15)
+        assert res.t_at_min == pytest.approx(math.pi)
+
     @staticmethod
     def eigenbasis_terms(state, h):
         # M_ab = |rho_ab|^2 and gaps lam_a - lam_b over all D^2 pairs, in mpmath
@@ -354,7 +370,10 @@ class TestCosineSumSignal:
         if isinstance(state, PureState):
             factor = np.bincount(level, weights=dynamics._populations(rotated))[:, None]
         else:
-            levels, factor = dynamics._mixed_factor(np.abs(rotated) ** 2, levels, level)
+            merged = np.bincount((level[:, None] * levels.size + level).ravel(),
+                                 weights=(np.abs(rotated) ** 2).ravel(),
+                                 minlength=levels.size ** 2).reshape(levels.size, -1)
+            levels, factor = dynamics._mixed_factor(merged, levels)
         return -1j * levels[None, :], np.ascontiguousarray(factor, dtype=complex)
 
     def test_level_runs_match_the_frozen_unique_setup(self, rng):
@@ -434,6 +453,17 @@ class TestCosineSumSignal:
         assert peak <= 8 * _EVAL_BUDGET + 2 * values.nbytes + (1 << 16)
         picks = np.arange(0, ts.size, 997)  # across block boundaries
         assert_allclose(values[picks], self.direct_sum(rho, h, ts[picks]), rtol=0, atol=1e-13)
+        # the derivatives' blocks hold to the same budget; their kernel is made
+        # on the first call, once per signal, so that call is not traced
+        signal.derivatives(ts[:1])
+        tracemalloc.start()
+        try:
+            jet = signal.derivatives(ts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * _EVAL_BUDGET + 2 * jet[0].base.nbytes + (1 << 16)
+        assert_allclose(jet[0][picks], values[picks], rtol=0, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
