@@ -60,7 +60,9 @@ SCAN_FRACTION = 0.25
 HORIZON_MULTIPLIER = 20.0
 
 _SUPPORT_CUT = 1e-12  # level weights and entries of M below this do not define the bandwidth
-_PAIR_CUT = 1e-18  # levels and factor columns whose terms stay below this are dropped
+#: Levels whose largest term, w_A * max(w) or max_B M_AB, stays at or below this
+#: are not summed (s moves by at most 2 L^2 _PAIR_CUT), nor are such factor columns.
+_PAIR_CUT = 1e-18
 #: Sets the block size of ``_SurvivalSignal``'s kernels, s and its derivatives
 #: alike: the work arrays of one block of times (phases, amplitudes and their
 #: products) together take at most 8 * _EVAL_BUDGET bytes (512 KiB).
@@ -145,22 +147,19 @@ def evolve(state: State, hamiltonian: Hamiltonian, t: float) -> State:
     return DensityMatrix(state.layout, mat)
 
 
-def _mixed_factor(merged: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Populated levels and a factor F, M = F F^H, of the level matrix M = ``merged``.
+def _mixed_factor(merged: np.ndarray) -> np.ndarray:
+    """A factor F, M = F F^H, of the level matrix M = ``merged``.
 
     M_AB sums |rho_ab|^2 over the members a of level A and b of level B, and
     ``_SurvivalSignal`` reads the bandwidth and the curvature from it too.
-    Levels without a term above ``_PAIR_CUT`` are dropped, and so are the
-    eigenvalues of M below eigh's backward error, which carry no information.
+    Eigenvalues of M below eigh's backward error carry no information and are dropped.
     M is real, but it goes through the complex Hermitian eigensolver, which
     every Hamiltonian already loads: the real one would map another ~0.7 MB
     of LAPACK code into the process to save at most ~2 ms at D = 128.
     """
-    kept = (merged > _PAIR_CUT).any(axis=1)
-    merged = merged[kept][:, kept]
     strength, vecs = np.linalg.eigh((0.5 * (merged + merged.T)).astype(complex))
-    strong = strength > max(_PAIR_CUT, kept.sum() * math.ulp(strength[-1]))
-    return levels[kept], vecs[:, strong] * np.sqrt(strength[strong])
+    strong = strength > max(_PAIR_CUT, merged.shape[0] * math.ulp(strength[-1]))
+    return vecs[:, strong] * np.sqrt(strength[strong])
 
 
 class _SurvivalSignal:
@@ -176,9 +175,9 @@ class _SurvivalSignal:
     round-off squared at a zero.
     Pure state: M = w w^T with w the level populations, and F = w.
     Mixed state: F from ``_mixed_factor``, with at most min(levels, rank^2)
-    columns.  ``evaluate`` and ``derivatives`` pass their kernels to one loop
-    over blocks of times of bounded memory (``_EVAL_BUDGET``), so neither's
-    memory grows with the scan.
+    columns.  Both sum only the levels with a term above ``_PAIR_CUT``.
+    ``evaluate`` and ``derivatives`` pass their kernels to one loop over blocks
+    of times whose memory is bounded (``_EVAL_BUDGET``), however long the scan.
 
     ``bandwidth`` is the spectral range actually populated by the state: the
     highest angular frequency in s(t), which sets the scan step.  It is the
@@ -189,8 +188,8 @@ class _SurvivalSignal:
     = sum_AB M_AB (lam_A - lam_B)**2, 2 S sum_A w_A (lam_A - mean)**2 with S =
     sum_A w_A for a pure state.  Each gap is divided by the bandwidth before it
     is squared, so no spectrum overflows it; a pair with no weight adds
-    nothing however wide its gap, and where the terms of other unpopulated
-    levels overflow, it is infinite.
+    nothing however wide its gap, and where the terms of levels under the
+    support cut overflow, it is infinite.
     ``third`` bounds |s'''(t)| in units of bandwidth**3:
     |s'''| <= sum_AB M_AB |gap_AB|**3 <= span * (-s''(0)), with span the
     range of the levels the signal sums, which terms under the support cut may
@@ -207,39 +206,38 @@ class _SurvivalSignal:
         new = np.concatenate(([True], evals[1:] != evals[:-1]))
         levels, level = evals[new], np.cumsum(new) - 1
         if isinstance(state, PureState):
-            weights = np.bincount(level, weights=self.populations)
-            support = levels[weights > _SUPPORT_CUT]
+            table = np.bincount(level, weights=self.populations)
+            largest = table * table.max()  # of each row of M = w w^T
+        else:
+            table = np.bincount((level[:, None] * levels.size + level).ravel(),
+                                weights=(np.abs(rotated) ** 2).ravel(),
+                                minlength=levels.size ** 2).reshape(levels.size, -1)
+            largest = table.max(axis=1)
+        kept = largest > _PAIR_CUT  # the levels both kinds sum, cut on every axis
+        levels, table = levels[kept], table[np.ix_(*(kept,) * table.ndim)]
+        if isinstance(state, PureState):
+            w = table
+            support = levels[w > _SUPPORT_CUT]
             self.bandwidth = float(support.max() - support.min()) if support.size else 0.0
-            # A positive weight whose square underflows adds nothing to s(t), but its
-            # phases may overflow: E >= w * lam bounds horizon * lam only by ~10 pi / w.
-            # Exact zeros stay, so the other levels' sums keep their order; clipped
-            # into the weighted levels' range, their phases stay finite too.
-            kept = (weights == 0.0) | (weights * weights > 0.0)
-            levels, w = levels[kept], weights[kept]
-            weighted = levels[w > 0.0]  # ascending, as the eigenvalues are
-            levels = levels.clip(weighted[0], weighted[-1])
             factor = w[:, None]
             with np.errstate(all="ignore"):  # overflow, or 0 * inf: no finite bound
                 spread = (levels - np.dot(w, levels) / w.sum()) / self.bandwidth
                 curvature = 2.0 * w.sum() * np.dot(w, spread * spread)
         else:
-            merged = np.bincount((level[:, None] * levels.size + level).ravel(),
-                                 weights=(np.abs(rotated) ** 2).ravel(),
-                                 minlength=levels.size ** 2).reshape(levels.size, -1)
             # The widest gap between two levels with a populated entry of M:
             # the support is symmetric, so it is the largest signed difference
             # lam_A - lam_B on it.
             gaps = np.subtract.outer(levels, levels)
-            support = np.maximum(merged, merged.T) > _SUPPORT_CUT
+            support = np.maximum(table, table.T) > _SUPPORT_CUT
             self.bandwidth = float(gaps[support].max(initial=0.0))
             # sum_AB M_AB (gap_AB / bandwidth)^2, in place
             with np.errstate(all="ignore"):
                 gaps /= self.bandwidth
                 # an empty pair adds nothing, however far apart its levels
-                gaps[merged == 0.0] = 0.0
-                curvature = np.vdot(merged, np.square(gaps, out=gaps))
+                gaps[table == 0.0] = 0.0
+                curvature = np.vdot(table, np.square(gaps, out=gaps))
             del gaps, support  # not to be held through the factor's eigh
-            levels, factor = _mixed_factor(merged, levels)
+            factor = _mixed_factor(table)
         self.curvature = float(curvature) if math.isfinite(curvature) else math.inf
         self._levels = levels
         # -i * levels as a row: each block's phases are one rank-1 product,

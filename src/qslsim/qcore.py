@@ -574,31 +574,30 @@ def _pairs_to_array(raw, count: int, name: str) -> np.ndarray:
     if len(raw) != count:
         raise SchemaError(f"{name}: expected {count} pairs, got {len(raw)}")
     pairs = _number_pairs(raw)
-    if pairs is not None:
-        return pairs.view(complex)
-    # One entry at a time: names the first malformed entry, and converts
-    # subclasses of int and float, which the bulk check leaves to this loop.
-    out = np.empty(count, dtype=complex)
-    for i, entry in enumerate(raw):
-        if (
-            not isinstance(entry, (list, tuple))
-            or len(entry) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
-        ):
-            raise SchemaError(f"{name}[{i}]: expected a [re, im] pair of numbers")
-        try:
-            out[i] = complex(entry[0], entry[1])
-        except OverflowError:  # an integer literal beyond the double range
-            raise SchemaError(f"{name}[{i}]: number too large for a double") from None
-    return out
+    if pairs is None:  # one entry at a time, to name the first malformed one
+        for i, entry in enumerate(raw):
+            if (
+                not isinstance(entry, (list, tuple))
+                or len(entry) != 2
+                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
+            ):
+                raise SchemaError(f"{name}[{i}]: expected a [re, im] pair of numbers")
+            try:
+                complex(entry[0], entry[1])
+            except OverflowError:  # an integer literal beyond the double range
+                raise SchemaError(f"{name}[{i}]: number too large for a double") from None
+    return pairs.view(complex)
 
 
 def _number_pairs(raw: list) -> np.ndarray | None:
     """``raw`` flattened to floats if every entry is a list or tuple of two
-    ints or floats (not bools), else None; checks and conversion run in bulk."""
-    if not (set(map(type, raw)) <= {list, tuple} and set(map(len, raw)) <= {2}):
+    ints or floats (not bools), else None; checks and conversion run in bulk,
+    on the few distinct types of the entries and of their elements."""
+    if not (all(issubclass(t, (list, tuple)) for t in set(map(type, raw)))
+            and set(map(len, raw)) <= {2}):
         return None
-    if not set(map(type, itertools.chain.from_iterable(raw))) <= {int, float}:
+    if not all(issubclass(t, (int, float)) and not issubclass(t, bool)
+               for t in set(map(type, itertools.chain.from_iterable(raw)))):
         return None
     try:
         return np.fromiter(itertools.chain.from_iterable(raw), dtype=float, count=2 * len(raw))

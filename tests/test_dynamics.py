@@ -204,21 +204,28 @@ class TestCosineSumSignal:
                 assert bound == pytest.approx(2.0 * energy_stats(state, h).spread ** 2, rel=1e-12)
 
     def test_curvature_past_the_float_range_falls_back_to_bernstein(self):
-        # bandwidth 1 between the populated levels, and a weight of 1e-20 (below
-        # the support cut) at 1e300: the curvature overflows, silently
+        # bandwidth 1 between the populated levels, and a weight of 1e-14 at
+        # 1e300, under the support cut but with the term 0.5e-14 above the pair
+        # cut: the level is summed, and the curvature overflows, silently
         lay = SubsystemLayout((3,))
         h = Hamiltonian(lay, np.diag([0.0, 1.0, 1e300]).astype(complex))
-        state = PureState(lay, np.array([INV_SQRT2, INV_SQRT2, 1e-10]))
+        state = PureState(lay, np.array([INV_SQRT2, INV_SQRT2, 1e-7]))
         signal = _SurvivalSignal(state, h)
+        assert signal._weights.shape == (3, 1)
         assert signal.bandwidth == pytest.approx(1.0) and signal.curvature == math.inf
         assert not first_orthogonal_time(state, h).found
+        # a weight of 1e-20 has terms of at most 0.5e-20, under the pair cut: the
+        # level is not summed, and the two others give 2 * (1/2)(1/2) * 1^2 = 1/2
+        dropped = _SurvivalSignal(PureState(lay, np.array([INV_SQRT2, INV_SQRT2, 1e-10])), h)
+        assert dropped._weights.shape == (2, 1)
+        assert dropped.bandwidth == pytest.approx(1.0)
+        assert dropped.curvature == pytest.approx(0.5, rel=1e-15)
 
     def test_mixed_curvature_skips_empty_far_levels(self):
         # populations diag(1/2, 1/2, 0) under diag(0, 1, 1e200), as a pure state
         # and as its density matrix (a diagonal one would be stationary): the
-        # empty level's squared gap overflows, but it multiplies an exact zero,
-        # as the pure state's clipped empty level does; both get
-        # 2 * (1/2)(1/2) * 1^2 = 1/2
+        # empty level's squared gap would overflow, but neither kind sums a level
+        # without a term above the pair cut; both get 2 * (1/2)(1/2) * 1^2 = 1/2
         lay = SubsystemLayout((3,))
         h = Hamiltonian(lay, np.diag([0.0, 1.0, 1e200]).astype(complex))
         pure = PureState(lay, np.array([INV_SQRT2, INV_SQRT2, 0.0]))
@@ -243,6 +250,47 @@ class TestCosineSumSignal:
         assert not res.found
         assert res.min_overlap == pytest.approx(0.2 - 3.2e-12, abs=1e-15)
         assert res.t_at_min == pytest.approx(math.pi)
+
+    def test_superposition_in_a_random_basis_sums_its_own_levels(self, rng):
+        # a uniform 5-level superposition of 64 integer levels, handed over in a
+        # random basis: the other 59 levels hold round-off squared, and only the
+        # 5 populated ones are summed; the Dirichlet kernel's first zero is 2 pi / 5
+        u = random_unitary(rng, 64)
+        h = ground_shift(Hamiltonian(SubsystemLayout((64,)),
+                                     (u * np.arange(64.0)) @ u.conj().T))
+        state = PureState(SubsystemLayout((64,)), u[:, 20:25] @ np.full(5, 1.0 / math.sqrt(5)))
+        signal = _SurvivalSignal(state, h)
+        assert signal._weights.shape == (5, 1) and signal.bandwidth == pytest.approx(4.0)
+        res = first_orthogonal_time(state, h)
+        assert res.found and res.t_perp == pytest.approx(2.0 * math.pi / 5.0, rel=1e-9)
+
+    def test_pair_cut_moves_the_signal_within_its_bound(self):
+        # 64 integer levels: four carry 1/4 of psi, and each of levels 8..63 a
+        # weight whose largest term is 0.9 or 1.1 times the pair cut (alternately).
+        # The signal sums only the main levels and those above the cut, and agrees
+        # with the exact sum over all 64^2 terms within 2 L^2 _PAIR_CUT.  The
+        # mixture 1/2 |psi><psi| + 1/2 |phi><phi| (phi uniform on levels 4..7)
+        # has largest terms w_A / 16 for psi's weights w_A, the pure state w_A / 4
+        cut, lay = dynamics._PAIR_CUT, SubsystemLayout((64,))
+        h = Hamiltonian(lay, np.diag(np.arange(64.0)).astype(complex))
+        ratios = np.resize([0.9, 1.1], 56)
+        above = 8 + np.flatnonzero(ratios > 1.0)
+
+        def psi(scale):
+            return np.concatenate((np.full(4, 0.5), np.zeros(4), np.sqrt(scale * ratios * cut)))
+
+        phi = np.concatenate((np.zeros(4), np.full(4, 0.5), np.zeros(56)))
+        pure = PureState(lay, psi(4.0))
+        mixed = DensityMatrix(lay, 0.5 * np.outer(psi(16.0), psi(16.0)) + 0.5 * np.outer(phi, phi))
+        gaps = np.subtract.outer(np.arange(64.0), np.arange(64.0))
+        ts = np.linspace(0.0, 7.0, 29)
+        for state, main in ((pure, np.arange(4)), (mixed, np.arange(8))):
+            signal = _SurvivalSignal(state, h)
+            assert np.array_equal(signal._levels, np.concatenate((main, above)))
+            matrix = np.outer(state.amplitudes, state.amplitudes) if state is pure else state.matrix
+            terms = np.abs(matrix) ** 2
+            direct = [math.fsum((terms * np.cos(gaps * t)).ravel()) for t in ts]
+            assert_allclose(signal.evaluate(ts), direct, rtol=0, atol=2 * 64 ** 2 * cut)
 
     @staticmethod
     def eigenbasis_terms(state, h):
@@ -368,12 +416,15 @@ class TestCosineSumSignal:
         rotated = dynamics._in_eigenbasis(state, h)
         levels, level = np.unique(evals, return_inverse=True)
         if isinstance(state, PureState):
-            factor = np.bincount(level, weights=dynamics._populations(rotated))[:, None]
+            w = np.bincount(level, weights=dynamics._populations(rotated))
+            kept = w * w.max() > dynamics._PAIR_CUT
+            levels, factor = levels[kept], w[kept][:, None]
         else:
             merged = np.bincount((level[:, None] * levels.size + level).ravel(),
                                  weights=(np.abs(rotated) ** 2).ravel(),
                                  minlength=levels.size ** 2).reshape(levels.size, -1)
-            levels, factor = dynamics._mixed_factor(merged, levels)
+            kept = (merged > dynamics._PAIR_CUT).any(axis=1)
+            levels, factor = levels[kept], dynamics._mixed_factor(merged[kept][:, kept])
         return -1j * levels[None, :], np.ascontiguousarray(factor, dtype=complex)
 
     def test_level_runs_match_the_frozen_unique_setup(self, rng):

@@ -40,7 +40,7 @@ from qslsim import (
     tensor_product,
 )
 from qslsim import qcore
-from qslsim.qcore import _dimension_within, _pairs_to_array
+from qslsim.qcore import _dimension_within, _number_pairs, _pairs_to_array
 from conftest import (matrix_energy_stats, random_density, random_hermitian, random_pure,
                       random_unitary)
 
@@ -768,6 +768,16 @@ class TestJson:
         expected = np.array([complex(re, im) for re, im in raw])
         assert out.dtype == complex and out.shape == (64,)
         assert np.array_equal(out.view(float), expected.view(float))  # bit for bit
+
+    def test_float_subclass_pairs_convert_in_bulk(self, rng):
+        # np.float64 subclasses float: its pairs take the bulk path and give
+        # the plain floats' array bit for bit
+        raw = [[float(re), float(im)] for re, im in rng.standard_normal((16, 2))]
+        raw[7] = [1e300, -0.0]
+        wrapped = [[np.float64(re), np.float64(im)] for re, im in raw]
+        assert _number_pairs(wrapped) is not None
+        out = _pairs_to_array(wrapped, 16, "matrix")
+        assert np.array_equal(out.view(np.int64), _pairs_to_array(raw, 16, "matrix").view(np.int64))
 
     @pytest.mark.parametrize("bad", [
         [True, 0.0], [0.0, False], ["1.5", 0.0], [None, 0.0], [1.0], [1.0, 0.0, 0.0],
