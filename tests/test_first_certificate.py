@@ -90,6 +90,8 @@ class Model:
         self.amplitudes = [[(-1) ** ((order + 1) // 2) * c * g ** order
                             for g, c in zip(self.gaps, weights)] for order in range(3)]
         self.scale = c0 + sum(terms.values())
+        # s >= c0 - sum_k c_k at every t: the exact minimum when one gap carries all terms
+        self.floor = (self.c0 - sum(weights, iv.mpf(0))).a
 
     def derivative(self, order: int, t):
         """The ``order``-th derivative of s (order <= 2) over the interval ``t``."""
@@ -106,12 +108,13 @@ class Model:
 
     def lower(self, lo: float, hi: float):
         """A lower bound on s over [lo, hi]: the lower end value where s' keeps
-        one sign there (the monotonicity test), else the centred form."""
+        one sign there (the monotonicity test), else the centred form, and
+        never below the floor c0 - sum_k c_k."""
         box, mid = iv.mpf([lo, hi]), iv.mpf(0.5 * (lo + hi))
         slope = self.derivative(1, box)
         if slope.a > 0 or slope.b < 0:
-            return self.derivative(0, iv.mpf(lo if slope.a > 0 else hi)).a
-        return (self.derivative(0, mid) + slope * (box - mid)).a
+            return max(self.floor, self.derivative(0, iv.mpf(lo if slope.a > 0 else hi)).a)
+        return max(self.floor, (self.derivative(0, mid) + slope * (box - mid)).a)
 
     def point(self, t: float) -> float:
         return float(self.derivative(0, iv.mpf(t)).mid)
@@ -160,6 +163,7 @@ def valley_entry(model: Model, t_perp: float, level: float) -> float:
 @example(seed=4, dim=5, rank=0, commensurate=True)
 @example(seed=5, dim=4, rank=0, commensurate=False)
 @example(seed=101, dim=3, rank=2, commensurate=False)
+@example(seed=1251, dim=2, rank=0, commensurate=False)  # 200 equal valleys to the horizon
 def test_first_is_certified(seed, dim, rank, commensurate):
     if rank == 2 and commensurate and dim < 4:
         dim = 4
