@@ -212,14 +212,14 @@ def cmd_fig1(args) -> Report:
         ratio = _ratio(t_perp, spec.t_qsl, f"row omega_ratio={r!r}")
         rows.append((r, t_perp, spec.t_qsl, ratio))
 
+    header = "omega_ratio,t_perp,t_qsl,ratio"
     return Report(
         {
-            "rows": [{"omega_ratio": r, "t_perp": tp, "t_qsl": tq, "ratio": ratio}
-                     for r, tp, tq, ratio in rows],
+            "rows": [dict(zip(header.split(","), row)) for row in rows],
             "out": args.out,
             "svg": args.svg,
         },
-        csv=_csv("omega_ratio,t_perp,t_qsl,ratio", rows),
+        csv=_csv(header, rows),
         svg=None if args.svg is None else svgplot.sweep_svg([row[:3] for row in rows]),
     )
 
@@ -247,14 +247,10 @@ def cmd_ent_scan(args) -> Report:
                 )
             rows.append((n, m, t_analytic, sep_bound, t_bound))
 
+    header = "N,M,t_perp_entangled,separable_bound,qsl_time"
     return Report(
-        {
-            "rows": [{"N": n, "M": m, "t_perp_entangled": tp,
-                      "separable_bound": sb, "qsl_time": tb}
-                     for n, m, tp, sb, tb in rows],
-            "out": args.out,
-        },
-        csv=_csv("N,M,t_perp_entangled,separable_bound,qsl_time", rows),
+        {"rows": [dict(zip(header.split(","), row)) for row in rows], "out": args.out},
+        csv=_csv(header, rows),
     )
 
 

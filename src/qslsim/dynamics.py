@@ -7,16 +7,18 @@ sum of squares, ||z(t)^T F||^2 with z_a(t) = exp(-i lam_a t) over the distinct
 levels and F a factor of |rho_ab|^2 merged over the levels, evaluated with one
 matrix product per block of times of bounded size.  The solver locates the smallest
 positive time at which it drops to (numerical) zero by scanning at a step set
-by the spectral bandwidth of the signal.  The survival's own curvature at
-t = 0 (or Bernstein's inequality, where that is tighter) bounds how far the
-signal can dip between samples.  Only the bracketed minima that may hold a
-zero are searched for one, one by one and in time order, by a fine scan and
-golden-section search on the fine minima that can still reach the tolerance;
-a search gives up once the bound shows that it cannot.  When there is no
-zero, branch and bound over the candidate brackets locates the reported
-minimum: a cell that a bound on s''' certifies convex is closed by Newton
-steps on s' (the survival gives s' and s'' from the same product as s), and
-every other cell is bisected under Bernstein's bound.
+by the spectral bandwidth of the signal.  One curvature bound decides the
+whole search: the survival's own curvature at t = 0 (or Bernstein's
+inequality, where that is tighter) bounds how far the signal can dip between
+samples.  Only a sample within that dip of the tolerance can have a zero
+beside it, and the brackets of those samples are searched for one, one by
+one and in time order, by a fine scan and golden-section search on the fine
+minima that can still reach the tolerance; a search gives up once the bound
+shows that it cannot.  When there is no zero, branch and bound over the
+candidate brackets locates the reported minimum: a cell that a bound on s'''
+certifies convex is closed by Newton steps on s' (the survival gives s' and
+s'' from the same product as s), and every other cell is bisected under the
+same curvature bound.
 """
 
 from __future__ import annotations
@@ -436,7 +438,7 @@ def _open_cells(lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarr
                 rate: float) -> np.ndarray:
     """Uncertified cells as the columns of a ``_lower_minimum`` table: no
     midpoint value yet, curvature floor 0, the midpoint as their next point
-    and Bernstein's bound."""
+    and the bound that |s''| <= rate**2 gives."""
     cells = np.zeros((8, lo.size))
     cells[0], cells[1], cells[2], cells[3] = lo, hi, f_lo, f_hi
     cells[6] = 0.5 * (lo + hi)
@@ -447,9 +449,8 @@ def _open_cells(lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarr
 def _lower_minimum(vec_fn: Callable[[np.ndarray], np.ndarray],
                    lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarray,
                    rate: float, tol: float, xtol: float,
-                   best_t: float, best_val: float,
-                   derivatives: Optional[Callable] = None, third: float = math.inf,
-                   bandwidth: float = 1.0) -> tuple[float, float]:
+                   best_t: float, best_val: float, derivatives: Optional[Callable],
+                   third: float, bandwidth: float) -> tuple[float, float]:
     """Lower (best_t, best_val) to within ``tol`` of the minimum over the cells.
 
     Branch and bound.  On a cell [lo, hi] with end values f_lo, f_hi a signal
@@ -516,31 +517,27 @@ def scan_first_zero(vec_fn: Callable[[np.ndarray], np.ndarray],
     ``vec_fn`` maps an array of times to signal values; ``bandwidth`` is the
     largest angular frequency present and ``scale`` the signal's supremum.
     ``curvature`` is a bound on |s''| in units of bandwidth**2, such as the
-    survival's -s''(0) (``_SurvivalSignal.curvature``); by default only
-    Bernstein's holds.  The signal is sampled at step
-    h <= SCAN_FRACTION * pi / bandwidth.
+    survival's -s''(0) (``_SurvivalSignal.curvature``).  The signal is
+    sampled at step h <= SCAN_FRACTION * pi / bandwidth.
 
+    One bound decides the whole search: |s''| <= rate**2 with
+    rate = bandwidth * sqrt(min(curvature, scale / 2)), where scale / 2 is
     Bernstein's inequality applied to s - scale/2, which lies within
-    +-scale/2, gives |s''| <= rate**2 with rate = bandwidth * sqrt(scale / 2).
-    Candidate brackets, two steps wide, are centered on the sampled local
-    minima (past the horizon counts as +inf) and on the samples within
-    Bernstein's dip (rate * h)**2 / 8 of the tolerance, the only places a zero
-    between samples can leave its nearest sample.  The triage takes the
-    tighter of the two bounds, rate = bandwidth * sqrt(min(curvature, scale / 2)),
-    so the signal lies at most margin = (rate * h)**2 / 8 below its nearest
-    sample.  Every such bound is evaluated as (rate * width)**2 / 8: rate * h
-    is of order one at any frequency, so no finite bandwidth or scale
-    overflows it.  Brackets whose lowest sample is at or below
-    ``accept_tol + margin`` may hold a zero: they are searched one at a time,
-    in time order, by a fine scan plus golden-section search on the fine
-    minima that can still reach ``accept_tol``, and the first refined value
-    at or below it is returned.
-    When no zero is found, branch and bound over the cells of all candidate
-    brackets (``_lower_minimum``) lowers the reported minimum to within
-    ``_MINIMUM_RTOL * scale`` of the signal's minimum on them.  Cells are
-    bisected under Bernstein's bound (the tighter one would stop it sooner,
-    on other near-tied minima).  Given ``derivatives`` (s, s' and a lower
-    bound on s'' in units of the bandwidth, as ``_SurvivalSignal.derivatives``)
+    +-scale/2, and the only bound of a signal given no curvature.  So the
+    signal lies at most the dip (rate * h)**2 / 8 below its nearest sample,
+    and a zero between samples can only lie in the bracket, two steps wide,
+    centred on a sample within the dip of ``accept_tol``.  Every such bound
+    is evaluated as (rate * width)**2 / 8: rate * h is of order one at any
+    frequency, so no finite bandwidth or scale overflows it.  Those brackets
+    are searched one at a time, in time order, by a fine scan plus
+    golden-section search on the fine minima that can still reach
+    ``accept_tol``, and the first refined value at or below it is returned.
+    When no zero is found, branch and bound (``_lower_minimum``) over the
+    cells of those brackets and of the brackets centred on the sampled local
+    minima (past the horizon counts as +inf) lowers the reported minimum to
+    within ``_MINIMUM_RTOL * scale`` of the signal's minimum on them,
+    bisecting cells under the same bound.  Given ``derivatives`` (s, s' and a
+    lower bound on s'' in units of the bandwidth, as ``_SurvivalSignal.derivatives``)
     and a finite ``third`` >= |s'''| / bandwidth**3, a cell that s'' at its
     midpoint certifies convex is closed by Newton steps on s' instead, which
     also fixes a flat minimum's ``t_at_min`` far more finely than its value
@@ -569,22 +566,14 @@ def scan_first_zero(vec_fn: Callable[[np.ndarray], np.ndarray],
     step = horizon / count
     # times scale as 1/frequency, so the searches stop at 1e-9 of the step if that is finer
     xtol = min(_GOLDEN_XTOL, 1e-9 * step)
-    rate = bandwidth * math.sqrt(scale / 2.0)
-    triage_rate = bandwidth * math.sqrt(min(curvature, scale / 2.0))
-    margin = (triage_rate * step) ** 2 / 8.0
+    rate = bandwidth * math.sqrt(min(curvature, scale / 2.0))
 
-    inner = vals[1:]  # the horizon sample's right neighbour is +inf
-    dips = (((inner <= vals[:-1]) & (inner <= np.append(vals[2:], np.inf)))
-            | (inner <= accept_tol + (rate * step) ** 2 / 8.0))
-    candidates = np.flatnonzero(dips) + 1
-    right = np.minimum(candidates + 1, count)
-    lowest = np.minimum(np.minimum(vals[candidates - 1], vals[candidates]), vals[right])
-    zero_capable = lowest <= accept_tol + margin
-
+    inner = vals[1:]
+    within = inner <= accept_tol + (rate * step) ** 2 / 8.0
     goal = accept_tol + _GIVE_UP_RTOL * scale
-    for i, j in zip(candidates[zero_capable], right[zero_capable]):
+    for i in np.flatnonzero(within) + 1:
         found, t, value = _refine_bracket(
-            vec_fn, float(ts[i - 1]), float(ts[j]), accept_tol, triage_rate, xtol, goal
+            vec_fn, float(ts[i - 1]), float(ts[min(i + 1, count)]), accept_tol, rate, xtol, goal
         )
         if found:
             return OrthogonalityResult(True, t, max(value, 0.0), t, horizon)
@@ -593,12 +582,15 @@ def scan_first_zero(vec_fn: Callable[[np.ndarray], np.ndarray],
     # its first acceptable time at the horizon itself.
     if vals[count] <= accept_tol:
         return OrthogonalityResult(True, horizon, float(vals[count]), horizon, horizon)
-    # Cells between samples, each once, by their left sample
+    # sampled local minima; the horizon sample's right neighbour is +inf
+    minima = (inner <= vals[:-1]) & (inner <= np.append(vals[2:], np.inf))
+    centres = np.flatnonzero(within | minima) + 1
+    # The cells of their brackets, each once, by their left sample
     cell = np.zeros(count, dtype=bool)
-    cell[candidates - 1] = True
-    cell[right - 1] = True
+    cell[centres - 1] = True
+    cell[np.minimum(centres, count - 1)] = True
     cells = np.flatnonzero(cell)
-    interior = int(np.argmin(vals[1:])) + 1
+    interior = int(np.argmin(inner)) + 1
     best_t, best_val = _lower_minimum(
         vec_fn, ts[cells], ts[cells + 1], vals[cells], vals[cells + 1],
         rate, _MINIMUM_RTOL * scale, xtol, float(ts[interior]), float(vals[interior]),
